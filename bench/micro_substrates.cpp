@@ -4,12 +4,11 @@
 // experiments cost.
 #include <benchmark/benchmark.h>
 
-#include "rtad/coresight/pft_encoder.hpp"
 #include "rtad/gpgpu/assembler.hpp"
 #include "rtad/gpgpu/gpu.hpp"
-#include "rtad/igm/pft_decoder.hpp"
 #include "rtad/ml/lstm.hpp"
 #include "rtad/sim/rng.hpp"
+#include "rtad/trace/pft.hpp"
 #include "rtad/workloads/trace_generator.hpp"
 
 namespace {
@@ -29,7 +28,7 @@ BENCHMARK(BM_TraceGenerator);
 void BM_PftEncode(benchmark::State& state) {
   const auto& p = workloads::find_profile("perlbench");
   workloads::TraceGenerator gen(p, 2);
-  coresight::PftEncoder enc;
+  trace::PftEncoder enc;
   std::vector<std::uint8_t> bytes;
   std::uint64_t produced = 0;
   for (auto _ : state) {
@@ -47,15 +46,15 @@ BENCHMARK(BM_PftEncode);
 void BM_PftDecode(benchmark::State& state) {
   const auto& p = workloads::find_profile("perlbench");
   workloads::TraceGenerator gen(p, 2);
-  coresight::PftEncoder enc;
+  trace::PftEncoder enc;
   std::vector<std::uint8_t> bytes;
   enc.emit_sync(0, 1, bytes);
   for (int i = 0; i < 10'000; ++i) enc.encode(gen.next().event, bytes);
-  igm::PftStreamDecoder dec;
+  trace::PftStreamDecoder dec;
   std::size_t pos = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        dec.feed(coresight::TraceByte{bytes[pos], 0, 0, false}));
+        dec.feed(trace::TraceByte{bytes[pos], 0, 0, false}));
     pos = (pos + 1) % bytes.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

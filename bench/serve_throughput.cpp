@@ -13,7 +13,9 @@
 // mean_service. Interarrivals are bounded-jitter (mean x [0.5, 1.5), from
 // the shared xoshiro RNG), so a below-saturation point cannot shed by
 // freak burst — the regression gates hold shed+degraded == 0 for L < 1 and
-// > 0 for the deep-overload point, deterministically.
+// > 0 for the deep-overload point, deterministically. Under the shed policy
+// a sweep whose sessions all fit in shards x (queue + lanes) can never shed,
+// so the bench refuses it up front (exit 2, "fleet-overload-cannot-shed").
 //
 // Environment knobs: RTAD_SERVE_BENCHMARK (default astar);
 // RTAD_SERVE_SESSIONS=N (default 32); RTAD_SERVE_TENANTS=T (default 12);
@@ -45,6 +47,9 @@
 using namespace rtad;
 
 namespace {
+
+/// Loads at or above this must shed or degrade (the deep-overload gate).
+constexpr double kDeepOverload = 4.0;
 
 std::vector<double> selected_loads() {
   const auto raw = core::env::raw("RTAD_SERVE_LOADS");
@@ -90,6 +95,19 @@ int main() {
   scfg.detection.attacks = attacks;
   scfg.detection.trace_path.clear();
   scfg.detection.metrics_path.clear();
+
+  // The deep-overload gate needs a shed, and the shed policy only sheds
+  // once the queues and lanes are full: refuse a sweep that cannot get there.
+  const std::size_t room = scfg.shards * (scfg.queue_capacity + scfg.lanes);
+  if (loads.back() >= kDeepOverload &&
+      scfg.policy == serve::OverloadPolicy::kShed && sessions <= room) {
+    std::cerr << "serve_throughput: refused (fleet-overload-cannot-shed): "
+              << sessions << " sessions fit in shards x (queue + lanes) = "
+              << room << ", so load " << loads.back()
+              << " can never shed; raise RTAD_SERVE_SESSIONS above " << room
+              << "\n";
+    return 2;
+  }
 
   std::shared_ptr<core::TrainedModelCache> cache;
   if (core::env::flag_or("RTAD_SERVE_FAST_TRAIN", false)) {
@@ -198,7 +216,7 @@ int main() {
                 << " sessions\n";
       ok = false;
     }
-    if (p.load >= 4.0 && overload == 0) {
+    if (p.load >= kDeepOverload && overload == 0) {
       std::cerr << "serve_throughput: FAIL — load " << p.load
                 << " deep overload yet nothing shed or degraded\n";
       ok = false;

@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "rtad/attack/injector.hpp"
-#include "rtad/coresight/ptm.hpp"
+#include "rtad/coresight/trace_source.hpp"
 #include "rtad/cpu/instrumentation.hpp"
 #include "rtad/fault/fault_plan.hpp"
 #include "rtad/gpgpu/gpu.hpp"
@@ -55,10 +55,11 @@ struct SocConfig {
   ClockPlan clocks{};
   /// Trace packet grammar spoken across the whole frontend (trace source,
   /// TPIU bytes, TA decoder); overridable per-process with
-  /// RTAD_TRACE_PROTO=pft|etrace. Overrides any protocol set on the ptm /
-  /// igm sub-configs below — the SoC wires one grammar end to end.
+  /// RTAD_TRACE_PROTO=pft|etrace. Overrides any protocol set on the
+  /// trace_source / igm sub-configs below — the SoC wires one grammar end
+  /// to end.
   trace::TraceProtocol trace_proto = trace::default_trace_protocol();
-  coresight::PtmConfig ptm{};
+  coresight::TraceSourceConfig trace_source{};
   igm::IgmConfig igm{};
   mcm::McmConfig mcm{};
   std::uint32_t gpu_dispatch_latency = 8;

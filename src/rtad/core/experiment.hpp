@@ -69,8 +69,8 @@ void train_model_side(TrainedModels& out, ModelKind kind,
 // ------------------------------------------------------------- ensembles
 
 /// Rolling-ensemble shape of a detection run. Inert by default: with
-/// retrain_ps == 0 no ensemble is attached and the session is byte-
-/// identical to a build without the ensemble layer. When active, the
+/// retrain_ps == 0 no ensemble is attached and the device model alone
+/// scores the run. When active, the
 /// member set at session time T is the `size` most recent generations
 /// {G-size+1 .. G} (clamped at 0) where G = (base_ps + T) / retrain_ps —
 /// a pure function of simulated time, so member rolls land at the same
@@ -153,16 +153,14 @@ struct DetectionResult {
   std::uint64_t skipped_edge_groups = 0;
   std::uint64_t skipped_cycles = 0;  ///< summed over all clock domains
   /// Backend diagnostics (stderr-only: excluded from stdout tables and the
-  /// rtad.metrics.v1 export, both of which must stay byte-identical across
+  /// rtad.metrics.v2 export, both of which must stay byte-identical across
   /// RTAD_BACKEND). Wall-clock spent simulating GPU launches, and how many
   /// launches the fast backend planned (0 under the cycle backend).
   std::uint64_t gpu_exec_wall_ns = 0;
   std::uint64_t gpu_fast_launches = 0;
 
   // --- trace-frontend accounting (protocol-neutral) ---
-  /// Grammar the run's frontend spoke (RTAD_TRACE_PROTO). Reported in the
-  /// metrics export only for non-default protocols: the PFT export stays
-  /// byte-identical to the pre-protocol-seam schema.
+  /// Grammar the run's frontend spoke (RTAD_TRACE_PROTO).
   trace::TraceProtocol trace_protocol = trace::TraceProtocol::kPft;
   std::uint64_t trace_bytes_generated = 0;  ///< encoder output bytes
   std::uint64_t trace_events_traced = 0;    ///< branch events encoded

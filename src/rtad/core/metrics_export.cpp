@@ -24,7 +24,7 @@ void write_metrics_json(
     const std::vector<std::pair<std::string, sim::Cycle>>& domains) {
   obs::JsonWriter w(os);
   w.begin_object();
-  w.field("schema", "rtad.metrics.v1");
+  w.field("schema", "rtad.metrics.v2");
 
   w.key("cell");
   w.begin_object();
@@ -61,35 +61,25 @@ void write_metrics_json(
   w.field("fault_events", result.fault_events);
   w.end_object();
 
-  // Trace-frontend decode health. Emitted only for non-default protocols:
-  // the PFT export keeps the exact pre-protocol-seam schema (the CI
-  // byte-identity gate compares these files verbatim), same precedent as
-  // the mode-dependent sim.skipped* exclusion above.
-  if (result.trace_protocol != trace::TraceProtocol::kPft) {
-    w.key("trace");
-    w.begin_object();
-    w.field("protocol", trace::to_string(result.trace_protocol));
-    w.field("bytes_generated", result.trace_bytes_generated);
-    w.field("events_traced", result.trace_events_traced);
-    w.field("decode_bytes_consumed", result.decode_bytes_consumed);
-    w.field("decode_branches", result.decode_branches);
-    w.field("igm_busy_cycles", result.igm_busy_cycles);
-    w.end_object();
-  }
+  w.key("trace");
+  w.begin_object();
+  w.field("protocol", trace::to_string(result.trace_protocol));
+  w.field("bytes_generated", result.trace_bytes_generated);
+  w.field("events_traced", result.trace_events_traced);
+  w.field("decode_bytes_consumed", result.decode_bytes_consumed);
+  w.field("decode_branches", result.decode_branches);
+  w.field("igm_busy_cycles", result.igm_busy_cycles);
+  w.end_object();
 
-  // Rolling-ensemble accounting. Emitted only when an ensemble was
-  // attached: inert runs keep the exact pre-ensemble schema, same
-  // precedent as the protocol-gated trace section above.
-  if (result.ensemble_size != 0) {
-    w.key("ensemble");
-    w.begin_object();
-    w.field("size", static_cast<std::uint64_t>(result.ensemble_size));
-    w.field("swaps", result.ensemble_swaps);
-    w.field("consensus_flags", result.consensus_flags);
-    w.field("consensus_overrides", result.consensus_overrides);
-    w.field("member_evals", result.member_evals);
-    w.end_object();
-  }
+  // Size 0 and all-zero counters when no ensemble was attached.
+  w.key("ensemble");
+  w.begin_object();
+  w.field("size", static_cast<std::uint64_t>(result.ensemble_size));
+  w.field("swaps", result.ensemble_swaps);
+  w.field("consensus_flags", result.consensus_flags);
+  w.field("consensus_overrides", result.consensus_overrides);
+  w.field("member_evals", result.member_evals);
+  w.end_object();
 
   // Elapsed cycles per clock domain (skip replay included, so these match
   // floor(simulated_ps / period) regardless of scheduler mode).

@@ -1,8 +1,11 @@
 // Machine-readable run metrics (RTAD_METRICS).
 //
 // Serializes a completed detection run — result fields, pipeline health,
-// per-domain cycle totals, per-component cycle accounts, and the simulator
-// stats registry — as a stable-key JSON document (schema "rtad.metrics.v1").
+// trace-frontend and ensemble accounting, per-domain cycle totals,
+// per-component cycle accounts, and the simulator stats registry — as a
+// stable-key JSON document (schema "rtad.metrics.v2"). Every section is
+// always present, so the key set does not depend on the run's protocol,
+// ensemble or fault settings.
 //
 // Determinism contract: the document is byte-identical across scheduler
 // kernels and worker counts. Keys are emitted in fixed (insertion/map)

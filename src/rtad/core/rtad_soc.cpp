@@ -79,18 +79,19 @@ RtadSoc::RtadSoc(SocConfig config, const ml::ModelImage* image,
   auto& gpu_clk = sim_.add_clock("gpu", config_.clocks.gpu_hz);
 
   // --- CoreSight ---
-  coresight::PtmConfig ptm_cfg = config_.ptm;
-  ptm_cfg.enabled = cpu::uses_ptm(config_.mode);
-  ptm_cfg.protocol = config_.trace_proto;
-  ptm_ = std::make_unique<coresight::Ptm>(ptm_cfg);
-  tpiu_ = std::make_unique<coresight::Tpiu>(ptm_->tx_fifo());
+  coresight::TraceSourceConfig source_cfg = config_.trace_source;
+  source_cfg.enabled = cpu::uses_hw_trace(config_.mode);
+  source_cfg.protocol = config_.trace_proto;
+  trace_source_ = std::make_unique<coresight::TraceSource>(source_cfg);
+  tpiu_ = std::make_unique<coresight::Tpiu>(trace_source_->tx_fifo());
   tpiu_->set_fault_injector(fault_injector_.get());
 
   // --- host CPU ---
   cpu::HostCpuConfig cpu_cfg;
   cpu_cfg.clock_period_ps = cpu_clk.period_ps();
   cpu_cfg.mode = config_.mode;
-  cpu_ = std::make_unique<cpu::HostCpu>(cpu_cfg, *injector_, ptm_.get());
+  cpu_ = std::make_unique<cpu::HostCpu>(cpu_cfg, *injector_,
+                                        trace_source_.get());
 
   // --- MLPU ---
   igm::IgmConfig igm_cfg = config_.igm;
@@ -156,8 +157,8 @@ RtadSoc::RtadSoc(SocConfig config, const ml::ModelImage* image,
 
   // --- attach to clocks ---
   sim_.attach(cpu_clk, *cpu_);
-  sim_.attach(cpu_clk, *ptm_);
-  const bool mlpu_active = cpu::uses_ptm(config_.mode);
+  sim_.attach(cpu_clk, *trace_source_);
+  const bool mlpu_active = cpu::uses_hw_trace(config_.mode);
   if (mlpu_active) {
     sim_.attach(fabric_clk, *tpiu_);
     sim_.attach(fabric_clk, *igm_);
@@ -173,7 +174,7 @@ RtadSoc::RtadSoc(SocConfig config, const ml::ModelImage* image,
   if (config_.observer != nullptr) {
     obs::Observer& ob = *config_.observer;
     cpu_->set_observability(ob, "cpu");
-    ptm_->set_observability(ob, "cpu");
+    trace_source_->set_observability(ob, "cpu");
     if (mlpu_active) {
       tpiu_->set_observability(ob, "mlpu");
       igm_->set_observability(ob, "mlpu");

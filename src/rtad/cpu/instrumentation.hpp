@@ -51,9 +51,4 @@ constexpr bool uses_hw_trace(InstrumentationMode mode) noexcept {
   return mode == InstrumentationMode::kRtad;
 }
 
-/// Back-compat spelling from when the only trace source was the PFT PTM.
-constexpr bool uses_ptm(InstrumentationMode mode) noexcept {
-  return uses_hw_trace(mode);
-}
-
 }  // namespace rtad::cpu

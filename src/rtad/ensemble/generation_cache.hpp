@@ -56,7 +56,7 @@ class GenerationCache {
   }
   /// Deterministic retrain work units: training tokens + windows collected
   /// across all retrained generations (the simulated-cost proxy reported
-  /// in rtad.serve.v1 health).
+  /// in rtad.serve.v2 health).
   std::uint64_t retrain_work_units() const noexcept {
     return retrain_work_units_.load(std::memory_order_relaxed);
   }

@@ -46,9 +46,8 @@ struct AdmissionConfig {
   /// sessions. 0 resolves to max(1, queue_capacity / 2).
   std::size_t degrade_watermark = 0;
   /// Re-offers granted to a refused request before it finally sheds. The
-  /// default 0 keeps the legacy one-shot drop (and the legacy byte-identity
-  /// surface); the shard owns the clock, so it schedules the re-offer at
-  /// refusal time + retry_delay().
+  /// default 0 sheds a refused request at once; the shard owns the clock,
+  /// so it schedules the re-offer at refusal time + retry_delay().
   std::size_t retry_budget = 0;
   /// Exponential backoff base for re-offers, simulated microseconds.
   std::uint64_t retry_base_us = 500;

@@ -81,8 +81,8 @@ std::size_t failover_target(std::size_t from_shard,
   bool any_up = false;
   for (std::size_t s = 0; s < n; ++s) any_up = any_up || up(s);
   // When the whole fleet is inside a downtime window the orphan has to
-  // queue and wait wherever it lands, so both walks degenerate to the
-  // legacy all-shard scan; otherwise down shards are excluded.
+  // queue and wait wherever it lands, so both walks degenerate to an
+  // all-shard scan; otherwise down shards are excluded.
   const auto eligible = [&](std::size_t s) { return !any_up || up(s); };
   // Ring heir: the first eligible shard after the crashed one (the naive
   // successor may have crashed in the same storm).
@@ -341,16 +341,13 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
 
 namespace {
 
-void write_class(obs::JsonWriter& json, const char* name, const ClassSlo& slo,
-                 bool failure_domain) {
+void write_class(obs::JsonWriter& json, const char* name, const ClassSlo& slo) {
   json.key(name).begin_object();
   json.field("offered", slo.offered);
   json.field("completed", slo.completed);
   json.field("shed", slo.shed);
   json.field("degraded", slo.degraded);
-  // Per-class recovery impact exists only when the failure domain is
-  // active: the legacy document stays byte-identical otherwise.
-  if (failure_domain) json.field("recovered", slo.recovered);
+  json.field("recovered", slo.recovered);
   json.key("sojourn_us").begin_object();
   json.field("count", static_cast<std::uint64_t>(slo.sojourn_us.count()));
   json.field("mean", slo.sojourn_us.mean());
@@ -368,7 +365,7 @@ void write_serve_json(std::ostream& os, const ServiceConfig& cfg,
                       const ServiceReport& report) {
   obs::JsonWriter json(os);
   json.begin_object();
-  json.field("schema", "rtad.serve.v1");
+  json.field("schema", "rtad.serve.v2");
   json.key("service");
   write_serve_report(json, cfg, report);
   json.end_object();
@@ -397,70 +394,61 @@ void write_serve_report(obs::JsonWriter& json, const ServiceConfig& cfg,
   json.field("serve.sessions_pft", report.sessions_pft);
   json.field("serve.sessions_etrace", report.sessions_etrace);
   json.end_object();
-  // The ensemble section exists only when the rolling ensemble is active —
-  // a plain configuration emits the exact legacy document. It sits in the
-  // quantum-invariant prefix (before telemetry): every counter here is a
-  // pure function of the arrival schedule.
-  if (cfg.ensemble.active()) {
-    json.key("ensemble").begin_object();
-    json.field("size", static_cast<std::uint64_t>(cfg.ensemble.size));
-    json.field("quorum", static_cast<std::uint64_t>(cfg.ensemble.quorum));
-    json.field("retrain_us", sim::to_us(cfg.ensemble.retrain_ps));
-    json.field("window_us",
-               sim::to_us(cfg.ensemble.window_ps != 0
-                              ? cfg.ensemble.window_ps
-                              : cfg.ensemble.retrain_ps));
-    json.field("serve.generations_trained", report.generations_trained);
-    json.field("serve.ensemble_swaps", report.ensemble_swaps);
-    json.field("serve.consensus_flags", report.consensus_flags);
-    json.field("serve.consensus_overrides", report.consensus_overrides);
-    json.field("serve.member_evals", report.member_evals);
-    json.field("serve.retrain_work_units", report.retrain_work_units);
-    json.end_object();
-  }
-  // The failure-domain section exists only when the fleet can actually
-  // fault or retry — a plain configuration emits the exact legacy document.
-  const bool failure_domain =
-      cfg.serve_faults.any() || cfg.retry_budget > 0;
-  if (failure_domain) {
-    json.key("failure").begin_object();
-    json.field("retry_budget", static_cast<std::uint64_t>(cfg.retry_budget));
-    json.field("checkpoint_every", cfg.checkpoint_every);
-    json.field("serve.shard_crashes", report.shard_crashes);
-    json.field("serve.lane_wedges", report.lane_wedges);
-    json.field("serve.brownout_refusals", report.brownout_refusals);
-    json.field("serve.sessions_recovered", report.sessions_recovered);
-    json.field("serve.sessions_parked", report.sessions_parked);
-    json.field("serve.sessions_retried", report.sessions_retried);
-    json.field("serve.queue_flushed", report.queue_flushed);
-    json.field("serve.migrations", report.migrations);
-    json.field("serve.checkpoints", report.checkpoints);
-    json.field("serve.checkpoint_evictions", report.checkpoint_evictions);
-    json.field("serve.failover_rounds", report.failover_rounds);
-    json.field("serve.recovery_replay_ps", report.recovery_replay_ps);
-    json.key("checkpoint_bytes").begin_object();
-    json.field("samples",
-               static_cast<std::uint64_t>(report.checkpoint_bytes.count()));
-    json.field("mean", report.checkpoint_bytes.mean());
-    json.field("max", report.checkpoint_bytes.max());
-    json.field("parked_high_watermark", report.parked_bytes_hwm);
-    json.end_object();
-    json.key("evicted_blob_bytes").begin_object();
-    json.field("samples",
-               static_cast<std::uint64_t>(report.evicted_blob_bytes.count()));
-    json.field("mean", report.evicted_blob_bytes.mean());
-    json.field("max", report.evicted_blob_bytes.max());
-    json.end_object();
-    json.key("recovery_latency_us").begin_object();
-    json.field("count",
-               static_cast<std::uint64_t>(report.recovery_latency_us.count()));
-    json.field("mean", report.recovery_latency_us.mean());
-    json.field("p50", report.recovery_latency_us.percentile(50.0));
-    json.field("p99", report.recovery_latency_us.percentile(99.0));
-    json.field("max", report.recovery_latency_us.max());
-    json.end_object();
-    json.end_object();
-  }
+  // Ensemble and failure sit in the quantum-invariant prefix (before
+  // telemetry): every counter here is a pure function of the arrival
+  // schedule. An inert ensemble reports retrain_us 0 and zero counters.
+  json.key("ensemble").begin_object();
+  json.field("size", static_cast<std::uint64_t>(cfg.ensemble.size));
+  json.field("quorum", static_cast<std::uint64_t>(cfg.ensemble.quorum));
+  json.field("retrain_us", sim::to_us(cfg.ensemble.retrain_ps));
+  json.field("window_us",
+             sim::to_us(cfg.ensemble.window_ps != 0
+                            ? cfg.ensemble.window_ps
+                            : cfg.ensemble.retrain_ps));
+  json.field("serve.generations_trained", report.generations_trained);
+  json.field("serve.ensemble_swaps", report.ensemble_swaps);
+  json.field("serve.consensus_flags", report.consensus_flags);
+  json.field("serve.consensus_overrides", report.consensus_overrides);
+  json.field("serve.member_evals", report.member_evals);
+  json.field("serve.retrain_work_units", report.retrain_work_units);
+  json.end_object();
+  json.key("failure").begin_object();
+  json.field("retry_budget", static_cast<std::uint64_t>(cfg.retry_budget));
+  json.field("checkpoint_every", cfg.checkpoint_every);
+  json.field("serve.shard_crashes", report.shard_crashes);
+  json.field("serve.lane_wedges", report.lane_wedges);
+  json.field("serve.brownout_refusals", report.brownout_refusals);
+  json.field("serve.sessions_recovered", report.sessions_recovered);
+  json.field("serve.sessions_parked", report.sessions_parked);
+  json.field("serve.sessions_retried", report.sessions_retried);
+  json.field("serve.queue_flushed", report.queue_flushed);
+  json.field("serve.migrations", report.migrations);
+  json.field("serve.checkpoints", report.checkpoints);
+  json.field("serve.checkpoint_evictions", report.checkpoint_evictions);
+  json.field("serve.failover_rounds", report.failover_rounds);
+  json.field("serve.recovery_replay_ps", report.recovery_replay_ps);
+  json.key("checkpoint_bytes").begin_object();
+  json.field("samples",
+             static_cast<std::uint64_t>(report.checkpoint_bytes.count()));
+  json.field("mean", report.checkpoint_bytes.mean());
+  json.field("max", report.checkpoint_bytes.max());
+  json.field("parked_high_watermark", report.parked_bytes_hwm);
+  json.end_object();
+  json.key("evicted_blob_bytes").begin_object();
+  json.field("samples",
+             static_cast<std::uint64_t>(report.evicted_blob_bytes.count()));
+  json.field("mean", report.evicted_blob_bytes.mean());
+  json.field("max", report.evicted_blob_bytes.max());
+  json.end_object();
+  json.key("recovery_latency_us").begin_object();
+  json.field("count",
+             static_cast<std::uint64_t>(report.recovery_latency_us.count()));
+  json.field("mean", report.recovery_latency_us.mean());
+  json.field("p50", report.recovery_latency_us.percentile(50.0));
+  json.field("p99", report.recovery_latency_us.percentile(99.0));
+  json.field("max", report.recovery_latency_us.max());
+  json.end_object();
+  json.end_object();
   json.key("ingress_depth").begin_object();
   json.field("samples",
              static_cast<std::uint64_t>(report.queue_depth.count()));
@@ -470,8 +458,8 @@ void write_serve_report(obs::JsonWriter& json, const ServiceConfig& cfg,
              static_cast<std::uint64_t>(report.queue_high_watermark));
   json.end_object();
   json.key("classes").begin_object();
-  write_class(json, "interactive", report.interactive, failure_domain);
-  write_class(json, "batch", report.batch, failure_domain);
+  write_class(json, "interactive", report.interactive);
+  write_class(json, "batch", report.batch);
   json.end_object();
   // Telemetry last: everything above is quantum-invariant; telemetry
   // samples once per quantum (see the write_serve_report doc).

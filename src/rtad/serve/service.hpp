@@ -5,9 +5,9 @@
 // every shard's queueing simulation, and merges the outcomes back into
 // submission (ticket) order. Shards are independent — each owns its SoCs,
 // its ingress queue, and its slice of the schedule — so they fan out across
-// the PR-1 thread pool; the merge collects shard futures in shard-index
-// order, which keeps every observable (outcomes, SLO report, the
-// rtad.serve.v1 JSON) byte-identical for any RTAD_JOBS.
+// the shared sim::ThreadPool; the merge collects shard futures in
+// shard-index order, which keeps every observable (outcomes, SLO report,
+// the rtad.serve.v2 JSON) byte-identical for any RTAD_JOBS.
 //
 // When the fault plan (RTAD_FAULTS serve.* keys) is active, run() becomes a
 // round loop: shards replay their schedules in parallel as before, then the
@@ -90,10 +90,10 @@ struct ServiceConfig {
   /// Base detection options shared by every episode (see ShardConfig).
   core::DetectionOptions detection{};
 
-  // --- failure domain (PR 8) ---
-  /// Fleet-level fault sites (inactive by default — the fleet then runs
-  /// the legacy single-round path, byte-identical to PR 7). from_env()
-  /// adopts the serve.* keys of the process RTAD_FAULTS plan.
+  // --- failure domain ---
+  /// Fleet-level fault sites (inactive by default, so no session is ever
+  /// orphaned and run() finishes in one round). from_env() adopts the
+  /// serve.* keys of the process RTAD_FAULTS plan.
   fault::ServeFaultPlan serve_faults{};
   std::uint64_t fault_seed = 0xFA017;  ///< per-(site, shard) stream base
   std::size_t retry_budget = 0;        ///< re-offers per refused request
@@ -110,9 +110,8 @@ struct ServiceConfig {
   /// store itself lives on the ServiceReport; ingestion is always on.
   telemetry::StoreConfig telemetry{};
 
-  /// Rolling-ensemble shape applied to every tenant session (PR 10).
-  /// from_env() resolves the RTAD_ENSEMBLE_* knobs; inactive by default —
-  /// the fleet then runs byte-identical to the pre-ensemble service.
+  /// Rolling-ensemble shape applied to every tenant session. from_env()
+  /// resolves the RTAD_ENSEMBLE_* knobs; inactive by default.
   /// base_ps is ignored here: each shard stamps it per request with the
   /// origin arrival, anchoring the retrain cadence to the fleet clock.
   core::EnsembleParams ensemble{};
@@ -135,7 +134,7 @@ struct ShardHeat {
 /// `reoffer_ps` — a freshly-crashed shard's flushed queue makes it look
 /// coolest precisely while it cannot take work, which used to bounce
 /// orphans straight back onto a down shard for an extra round of backoff.
-/// If every shard is down, both walks degenerate to the legacy all-shard
+/// If every shard is down, both walks degenerate to an all-shard
 /// scan — the orphan has to queue and wait out a downtime wherever it
 /// lands, so the coolest shard is still the best landlord. Sets *migrated
 /// iff the rebalancer overrode the heir. A pure function — byte-identical
@@ -250,17 +249,19 @@ class Service {
   std::unique_ptr<ensemble::EnsembleManager> ensembles_;
 };
 
-/// Emit the `rtad.serve.v1` JSON document: config echo, fleet health
+/// Emit the `rtad.serve.v2` JSON document: config echo, fleet health
 /// counters (serve.sessions_shed, serve.degraded_inferences, ...), the
-/// ingress-depth distribution, and per-class SLO percentiles. Insertion-
+/// ensemble and failure-domain accounting, the ingress-depth distribution,
+/// and per-class SLO percentiles. Every section is always present, so the
+/// key set does not depend on the ensemble or fault settings. Insertion-
 /// ordered keys and deterministic number formatting (obs::JsonWriter), so
 /// the document is byte-stable across scheduler modes and worker counts.
 void write_serve_json(std::ostream& os, const ServiceConfig& cfg,
                       const ServiceReport& report);
 
-/// The document body (one JSON object: config / fleet / [failure] /
-/// ingress_depth / classes / telemetry) emitted at the writer's current
-/// value position — reusable as a nested value, e.g. one object per sweep
+/// The document body (one JSON object: config / fleet / ensemble /
+/// failure / ingress_depth / classes / telemetry) emitted at the writer's
+/// current value position — reusable as a nested value, e.g. one object per sweep
 /// point in BENCH_serve.json. The telemetry section is deliberately last:
 /// everything before it is quantum-invariant, while telemetry samples once
 /// per quantum (finer quanta mean more samples), so consumers comparing

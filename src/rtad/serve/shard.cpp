@@ -38,12 +38,10 @@ Shard::Shard(std::size_t id, ShardConfig cfg,
   }
   if (cfg_.lanes == 0) cfg_.lanes = 1;
   lane_free_at_.assign(cfg_.lanes, 0);
-  if (cfg_.serve_faults.any()) {
-    fault_sched_ = build_shard_schedule(cfg_.serve_faults, cfg_.fault_seed,
-                                        id_, cfg_.lanes);
-    crash_fired_.assign(fault_sched_.crashes.size(), false);
-    wedge_fired_.assign(fault_sched_.wedges.size(), false);
-  }
+  fault_sched_ = build_shard_schedule(cfg_.serve_faults, cfg_.fault_seed,
+                                      id_, cfg_.lanes);
+  crash_fired_.assign(fault_sched_.crashes.size(), false);
+  wedge_fired_.assign(fault_sched_.wedges.size(), false);
   if (cfg_.checkpoint_every == 0) cfg_.checkpoint_every = 1;
 }
 
@@ -161,8 +159,7 @@ std::vector<SessionOutcome> Shard::run() {
                            : staged_[i].arrival_ps)
             : kNever;
 
-    const sim::Picoseconds t_fault =
-        fault_sched_.empty() ? kNever : next_fault_event();
+    const sim::Picoseconds t_fault = next_fault_event();
     if (!admission_.empty()) {
       // Earliest-free lane; lowest index breaks ties so placement is a
       // pure function of the arrival schedule.

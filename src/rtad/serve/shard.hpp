@@ -20,7 +20,7 @@
 //     quantized: chunked advancement retires the identical run, so results
 //     are invariant to the quantum.
 //
-// The shard is also a fault domain (PR 8). When the ShardConfig carries an
+// The shard is also a fault domain. When the ShardConfig carries an
 // active ServeFaultPlan, the shard builds its eager fault timeline
 // (fault_domain.hpp) and run() consumes it as a third event source,
 // interleaved with dispatches and arrivals in strict fleet-time order
@@ -40,8 +40,7 @@
 // Everything stays deterministic: the fault timeline is a pure function of
 // (seed, shard id), retries are pure functions of (ticket, attempt), and no
 // wall clock or host-thread ordering reaches any observable (shards run
-// whole on one pool task; see Service). A shard with no active fault plan
-// and a zero retry budget is byte-identical to the pre-failover shard.
+// whole on one pool task; see Service).
 #pragma once
 
 #include <cstddef>
@@ -104,10 +103,10 @@ struct ShardConfig {
   /// Base options for every episode; seed/attacks/model come from the
   /// request, and per-run trace/metrics exports are force-disabled (a fleet
   /// of sessions racing on one RTAD_TRACE path helps nobody — the service
-  /// emits one aggregate rtad.serve.v1 document instead).
+  /// emits one aggregate rtad.serve.v2 document instead).
   core::DetectionOptions detection{};
   /// Fleet-level fault sites this shard is subject to (inactive by
-  /// default: no schedule is built and run() takes the legacy path).
+  /// default, which leaves the fault timeline empty).
   fault::ServeFaultPlan serve_faults{};
   std::uint64_t fault_seed = 0xFA017;  ///< seeds the (site, shard) streams
   /// Quanta between periodic checkpoints while a session is in flight
@@ -117,8 +116,7 @@ struct ShardConfig {
   std::uint64_t checkpoint_cap_bytes = 0;
   /// Rolling-ensemble shape applied to every episode (base_ps is stamped
   /// per request with its origin arrival, so the retrain cadence rides the
-  /// fleet clock and survives failover). Inactive by default — episodes
-  /// are then byte-identical to the pre-ensemble shard.
+  /// fleet clock and survives failover). Inactive by default.
   core::EnsembleParams ensemble{};
 };
 

@@ -20,7 +20,7 @@ namespace rtad::trace {
 /// answered with resync(): the decoder drops back to the sync hunt and
 /// recovers at the TraceSource's next periodic preamble, counting the loss
 /// of lock in `resyncs()`. The shared counters below are the per-protocol
-/// decode health surface harvested into DetectionResult / rtad.metrics.v1.
+/// decode health surface harvested into DetectionResult / rtad.metrics.v2.
 class TraceDecoder {
  public:
   virtual ~TraceDecoder() = default;

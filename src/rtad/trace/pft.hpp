@@ -32,9 +32,6 @@ class PftEncoder final : public TraceEncoder {
   /// Flush any buffered atom outcomes as a (possibly short) atom packet.
   void flush(std::vector<std::uint8_t>& out) override;
 
-  /// Legacy spelling of flush(); the PFT-specific tests and tools use it.
-  void flush_atoms(std::vector<std::uint8_t>& out) { flush(out); }
-
   /// Emit A-sync + I-sync (+ CONTEXTID) — the periodic resync preamble.
   void emit_sync(std::uint64_t current_addr, std::uint8_t context_id,
                  std::vector<std::uint8_t>& out) override;

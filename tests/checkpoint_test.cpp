@@ -2,7 +2,7 @@
 //
 // The headline contract: a session restored from a checkpoint blob is
 // byte-identical to the original for the rest of its life — same verdicts,
-// same score digest, same simulated time, same rtad.metrics.v1 export —
+// same score digest, same simulated time, same rtad.metrics.v2 export —
 // under every scheduler kernel × GPU backend × trace protocol combination,
 // with SoC fault streams straddling the boundary, and even when the blob is
 // replayed under a *different* scheduler kernel than the one it was taken
@@ -291,7 +291,7 @@ TEST(SessionCheckpoint, RestoreByteIdenticalAcrossSchedBackendProtoMatrix) {
 
         // Original: run to a mid-episode boundary, snapshot, keep going —
         // with a metrics export so the comparison covers the full
-        // rtad.metrics.v1 surface, not just the result struct.
+        // rtad.metrics.v2 surface, not just the result struct.
         const std::string path_a = "ckpt_matrix_a.json";
         const std::string path_b = "ckpt_matrix_b.json";
         auto original_opt = opt;

@@ -1,7 +1,7 @@
 // Host CPU model + instrumentation cost tests.
 #include <gtest/gtest.h>
 
-#include "rtad/coresight/ptm.hpp"
+#include "rtad/coresight/trace_source.hpp"
 #include "rtad/cpu/host_cpu.hpp"
 #include "rtad/cpu/instrumentation.hpp"
 #include "rtad/workloads/spec_model.hpp"
@@ -64,10 +64,10 @@ TEST(Instrumentation, RtadResidualIsTiny) {
             0.01);
 }
 
-TEST(Instrumentation, OnlyRtadUsesPtm) {
-  EXPECT_TRUE(uses_ptm(InstrumentationMode::kRtad));
-  EXPECT_FALSE(uses_ptm(InstrumentationMode::kBaseline));
-  EXPECT_FALSE(uses_ptm(InstrumentationMode::kSwAll));
+TEST(Instrumentation, OnlyRtadUsesHwTrace) {
+  EXPECT_TRUE(uses_hw_trace(InstrumentationMode::kRtad));
+  EXPECT_FALSE(uses_hw_trace(InstrumentationMode::kBaseline));
+  EXPECT_FALSE(uses_hw_trace(InstrumentationMode::kSwAll));
 }
 
 TEST(HostCpu, RetiresOneInstructionPerCycleBaseline) {
@@ -97,41 +97,41 @@ TEST(HostCpu, InstrumentationStallsProgramProgress) {
   EXPECT_LT(ratio, 0.7);
 }
 
-TEST(HostCpu, FeedsPtmOnlyInRtadMode) {
+TEST(HostCpu, FeedsTraceSourceOnlyInRtadMode) {
   workloads::TraceGenerator gen(test_profile(), 1);
   GeneratorSource src(gen);
-  coresight::Ptm ptm(coresight::PtmConfig{});
+  coresight::TraceSource source(coresight::TraceSourceConfig{});
   HostCpuConfig cfg;
   cfg.mode = InstrumentationMode::kRtad;
-  HostCpu cpu(cfg, src, &ptm);
+  HostCpu cpu(cfg, src, &source);
   for (int i = 0; i < 5'000; ++i) cpu.tick();
-  EXPECT_GT(ptm.events_traced(), 0u);
-  EXPECT_EQ(ptm.events_traced(), cpu.branches_retired());
+  EXPECT_GT(source.events_traced(), 0u);
+  EXPECT_EQ(source.events_traced(), cpu.branches_retired());
 
   workloads::TraceGenerator gen2(test_profile(), 1);
   GeneratorSource src2(gen2);
-  coresight::Ptm ptm2(coresight::PtmConfig{});
+  coresight::TraceSource source2(coresight::TraceSourceConfig{});
   cfg.mode = InstrumentationMode::kSwAll;
-  HostCpu cpu2(cfg, src2, &ptm2);
+  HostCpu cpu2(cfg, src2, &source2);
   for (int i = 0; i < 5'000; ++i) cpu2.tick();
-  EXPECT_EQ(ptm2.events_traced(), 0u);
+  EXPECT_EQ(source2.events_traced(), 0u);
 }
 
 TEST(HostCpu, EventTimestampsMatchLocalClock) {
   workloads::TraceGenerator gen(test_profile(), 1);
   GeneratorSource src(gen);
-  coresight::PtmConfig pcfg;
+  coresight::TraceSourceConfig pcfg;
   pcfg.flush_threshold = 1;
-  coresight::Ptm ptm(pcfg);
+  coresight::TraceSource source(pcfg);
   HostCpuConfig cfg;
-  HostCpu cpu(cfg, src, &ptm);
+  HostCpu cpu(cfg, src, &source);
   for (int i = 0; i < 1'000; ++i) {
     cpu.tick();
-    ptm.tick();
+    source.tick();
   }
   // Drain and check sidebands are plausible local times (<= elapsed).
   const auto elapsed = cpu.local_time_ps();
-  while (auto b = ptm.tx_fifo().pop()) {
+  while (auto b = source.tx_fifo().pop()) {
     EXPECT_LE(b->origin_ps, elapsed);
   }
 }
@@ -164,17 +164,17 @@ TEST(HostCpu, ResetClearsState) {
 TEST(HostCpu, SequenceNumbersAreMonotonic) {
   workloads::TraceGenerator gen(test_profile(), 1);
   GeneratorSource src(gen);
-  coresight::PtmConfig pcfg;
+  coresight::TraceSourceConfig pcfg;
   pcfg.flush_threshold = 1;
   pcfg.fifo_bytes = 4096;
-  coresight::Ptm ptm(pcfg);
-  HostCpu cpu(HostCpuConfig{}, src, &ptm);
+  coresight::TraceSource source(pcfg);
+  HostCpu cpu(HostCpuConfig{}, src, &source);
   for (int i = 0; i < 2'000; ++i) {
     cpu.tick();
-    ptm.tick();
+    source.tick();
   }
   std::uint64_t last_seq = 0;
-  while (auto b = ptm.tx_fifo().pop()) {
+  while (auto b = source.tx_fifo().pop()) {
     EXPECT_GE(b->event_seq, last_seq);
     last_seq = b->event_seq;
   }

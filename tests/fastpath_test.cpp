@@ -2,7 +2,7 @@
 // indistinguishable from the cycle-level oracle on every surface callers
 // can observe — inference outputs, anomaly flags, launch cycle counts,
 // instruction/memory counters, device memory contents, full detection
-// results, and the rtad.metrics.v1 export. Every comparison here is exact
+// results, and the rtad.metrics.v2 export. Every comparison here is exact
 // (EXPECT_EQ on bit patterns, never EXPECT_NEAR): the fast backend is a
 // different implementation of the same machine, not an approximation.
 //
@@ -442,7 +442,7 @@ TEST(FastPathFallback, FallThroughEndRaisesCanonicalError) {
 // ---------------------------------------------------------------------------
 // Full-pipeline differential: complete detection sessions across backend ×
 // scheduler, comparing every DetectionResult field and the byte-exact
-// rtad.metrics.v1 export.
+// rtad.metrics.v2 export.
 
 workloads::SpecProfile fast_profile(const std::string& name) {
   auto p = workloads::find_profile(name);

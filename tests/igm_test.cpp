@@ -2,18 +2,17 @@
 // encoder, and the assembled pipeline's 2-cycle latency property.
 #include <gtest/gtest.h>
 
-#include "rtad/coresight/pft_encoder.hpp"
-#include "rtad/coresight/ptm.hpp"
 #include "rtad/coresight/tpiu.hpp"
 #include "rtad/igm/igm.hpp"
 #include "rtad/sim/rng.hpp"
+#include "rtad/trace/pft.hpp"
 
 namespace rtad::igm {
 namespace {
 
-using coresight::PftEncoder;
 using coresight::TpiuWord;
-using coresight::TraceByte;
+using trace::PftEncoder;
+using trace::TraceByte;
 
 // Helper: bytes -> TPIU words.
 std::vector<TpiuWord> to_words(const std::vector<std::uint8_t>& bytes,

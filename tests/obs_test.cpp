@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "json_keys.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/metrics_export.hpp"
 #include "rtad/obs/json.hpp"
@@ -173,20 +174,41 @@ TEST(MetricsExport, StableKeysAndSchedulerCountersExcluded) {
   // Top-level sections appear in their documented order.
   std::size_t last = 0;
   for (const char* section :
-       {"\"schema\"", "\"cell\"", "\"detection\"", "\"health\"", "\"domains\"",
-        "\"cycle_accounts\"", "\"counters\"", "\"samplers\""}) {
+       {"\"schema\"", "\"cell\"", "\"detection\"", "\"health\"", "\"trace\"",
+        "\"ensemble\"", "\"domains\"", "\"cycle_accounts\"", "\"counters\"",
+        "\"samplers\""}) {
     const auto pos = doc.find(section);
     ASSERT_NE(pos, std::string::npos) << section;
     EXPECT_GT(pos, last) << section;
     last = pos;
   }
 
-  EXPECT_NE(doc.find("\"schema\": \"rtad.metrics.v1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"rtad.metrics.v2\""), std::string::npos);
+  EXPECT_NE(doc.find("\"protocol\": \"pft\""), std::string::npos);
   EXPECT_NE(doc.find("\"mean_latency_us\": 12.5"), std::string::npos);
   EXPECT_NE(doc.find("\"custom.events\": 3"), std::string::npos);
   EXPECT_NE(doc.find("\"stall_fifo\": 3"), std::string::npos);
   EXPECT_NE(doc.find("\"total\": 36"), std::string::npos);
   EXPECT_EQ(doc.find("skipped"), std::string::npos);
+
+  // One fixed shape: the key set is the same for E-Trace as for PFT, and
+  // with a size-3 ensemble as without one.
+  const auto keys_of = [&](const core::DetectionResult& variant) {
+    std::ostringstream vos;
+    core::write_metrics_json(vos, variant, stats, domains);
+    return test::json_key_paths(vos.str());
+  };
+  const auto keys = test::json_key_paths(doc);
+  EXPECT_TRUE(keys.count("trace.protocol"));
+  EXPECT_TRUE(keys.count("ensemble.size"));
+  core::DetectionResult etrace = r;
+  etrace.trace_protocol = trace::TraceProtocol::kEtrace;
+  etrace.decode_branches = 42;
+  EXPECT_EQ(keys_of(etrace), keys);
+  core::DetectionResult ensemble = r;
+  ensemble.ensemble_size = 3;
+  ensemble.ensemble_swaps = 2;
+  EXPECT_EQ(keys_of(ensemble), keys);
 }
 
 // ----------------------------------------------------- SoC-level integration
@@ -260,7 +282,7 @@ TEST(Observability, TraceAndMetricsIdenticalAcrossSchedulers) {
   const std::string metrics_dense = read_file(dense_opt.metrics_path);
   const std::string metrics_event = read_file(event_opt.metrics_path);
   ASSERT_FALSE(metrics_dense.empty());
-  EXPECT_NE(metrics_dense.find("\"schema\": \"rtad.metrics.v1\""),
+  EXPECT_NE(metrics_dense.find("\"schema\": \"rtad.metrics.v2\""),
             std::string::npos);
   EXPECT_EQ(metrics_dense, metrics_event);
 }

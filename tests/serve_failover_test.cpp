@@ -6,9 +6,8 @@
 // byte-identical detection result it retires on a fault-free fleet (zero
 // verdict divergence), and the whole recovery story (fault schedules,
 // checkpoints, failover routing, retry backoff) is byte-identical across
-// worker counts and scheduler kernels. A fleet with no active fault plan
-// emits the exact legacy rtad.serve.v1 document: no "failure" section, no
-// per-class "recovered" field.
+// worker counts and scheduler kernels. The rtad.serve.v2 document has one
+// fixed shape: a zero-fault fleet emits the same key set as a storm fleet.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "json_keys.hpp"
 #include "rtad/serve/checkpoint_store.hpp"
 #include "rtad/serve/fault_domain.hpp"
 #include "rtad/serve/service.hpp"
@@ -566,19 +566,34 @@ TEST(ServiceFailover, StormKeepsTenantTelemetryStreamsIntact) {
   }
 }
 
-TEST(ServiceFailover, FaultFreeFleetEmitsLegacyDocument) {
+TEST(ServiceFailover, DocumentShapeIsFixedAcrossFaultSettings) {
   auto cache = shared_cache();
   const auto cfg = base_config();
-  Service service(cfg, cache, 1);
-  const auto json = report_json(cfg, service.run(sample_requests()));
+  Service clean_service(cfg, cache, 1);
+  const auto clean = clean_service.run(sample_requests());
+  const auto clean_json = report_json(cfg, clean);
 
-  // No failure section, no per-class recovery field — byte-for-byte the
-  // pre-failover document shape.
-  EXPECT_EQ(json.find("\"failure\""), std::string::npos);
-  EXPECT_EQ(json.find("\"recovered\""), std::string::npos);
-  EXPECT_EQ(json.find("serve.shard_crashes"), std::string::npos);
-  EXPECT_NE(json.find("\"schema\""), std::string::npos);
-  EXPECT_NE(json.find("rtad.serve.v1"), std::string::npos);
+  auto storm_cfg = cfg;
+  storm_cfg.serve_faults = crash_storm();
+  Service storm_service(storm_cfg, cache, 1);
+  const auto storm = storm_service.run(sample_requests());
+  ASSERT_GT(storm.shard_crashes, 0u);
+  const auto storm_json = report_json(storm_cfg, storm);
+
+  const auto keys = test::json_key_paths(clean_json);
+  EXPECT_TRUE(keys.count("service.failure.serve.shard_crashes"));
+  EXPECT_TRUE(keys.count("service.classes.batch.recovered"));
+  EXPECT_TRUE(keys.count("service.ensemble.size"));
+  EXPECT_EQ(test::json_key_paths(storm_json), keys);
+  EXPECT_NE(clean_json.find("\"schema\": \"rtad.serve.v2\""),
+            std::string::npos);
+
+  // The ensemble section is a config echo plus counters: an active
+  // ensemble changes its values, never the document's key set.
+  auto ensemble_cfg = cfg;
+  ensemble_cfg.ensemble.size = 3;
+  ensemble_cfg.ensemble.retrain_ps = 5 * sim::kPsPerMs;
+  EXPECT_EQ(test::json_key_paths(report_json(ensemble_cfg, clean)), keys);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //   1. A chunk-fed DetectionSession is byte-identical to the one-shot
 //      measure_detection path — for any chunk size, under both scheduler
 //      kernels (score digest, latencies, health counters, simulated time).
-//   2. The Service report (and its rtad.serve.v1 JSON) is byte-identical
+//   2. The Service report (and its rtad.serve.v2 JSON) is byte-identical
 //      for any worker count and any advance() quantum.
 // Plus unit coverage for admission control (shed / degrade / watermark)
 // and the stable tenant → shard routing.

@@ -69,7 +69,7 @@ TEST(Soc, TraceFlowsToInferences) {
                 200 * sim::kPsPerMs);
   EXPECT_GE(soc.mcm().inferences_completed(), 5u);
   EXPECT_GT(soc.igm().vectors_out(), 0u);
-  EXPECT_GT(soc.ptm().bytes_generated(), 0u);
+  EXPECT_GT(soc.trace_source().bytes_generated(), 0u);
 }
 
 TEST(Soc, DetectsInjectedAttackEndToEnd) {

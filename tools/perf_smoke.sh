@@ -4,7 +4,7 @@
 #   1. Scheduler: the event-driven kernel must produce byte-identical
 #      stdout to the dense reference and actually be faster.
 #   2. Backend: the fast (decode-once) execution backend must produce
-#      byte-identical stdout and rtad.metrics.v1 JSON, and simulate the
+#      byte-identical stdout and rtad.metrics.v2 JSON, and simulate the
 #      cell's trained kernels >= PERF_SMOKE_MIN_BACKEND_SPEEDUP x faster
 #      than the cycle-level oracle (the backend_probe measures kernel
 #      simulation in isolation — inside the matrix, launch wall-clock also
@@ -83,7 +83,7 @@ etrace_ms=$(run_mode event fast etrace)
 unset RTAD_TRACE_PROTO
 
 # Byte-identity: neither the event kernel nor the fast backend may change
-# a single byte of stdout or of the rtad.metrics.v1 export.
+# a single byte of stdout or of the rtad.metrics.v2 export.
 for tag in event fast; do
   if ! cmp -s "${workdir}/dense.txt" "${workdir}/${tag}.txt"; then
     echo "perf_smoke: FAIL — stdout differs between dense/cycle and ${tag}" >&2
