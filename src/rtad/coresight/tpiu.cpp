@@ -4,7 +4,8 @@ namespace rtad::coresight {
 
 using fault::FaultSite;
 
-Tpiu::Tpiu(sim::Fifo<TraceByte>& source, std::size_t port_fifo_words)
+Tpiu::Tpiu(sim::Fifo<trace::TraceByte>& source,
+           std::size_t port_fifo_words)
     : sim::Component("tpiu"), source_(source), port_(port_fifo_words) {
   // TraceSource (CPU domain) -> TPIU (fabric domain) crossing: wake on push.
   source_.set_wake_hook([this] { request_wake(); });
@@ -21,7 +22,7 @@ void Tpiu::reset() {
   bytes_truncated_ = 0;
 }
 
-bool Tpiu::apply_faults(TraceByte& tb) {
+bool Tpiu::apply_faults(trace::TraceByte& tb) {
   // An open truncation window swallows bytes without further draws.
   if (truncate_remaining_ > 0) {
     --truncate_remaining_;
@@ -65,7 +66,7 @@ void Tpiu::tick() {
   obs::bump(acct_, obs::CycleBucket::kBusy);
   TpiuWord word;
   while (word.count < 4) {
-    TraceByte tb;
+    trace::TraceByte tb;
     if (dup_pending_) {
       tb = dup_byte_;
       dup_pending_ = false;

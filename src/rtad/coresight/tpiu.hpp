@@ -31,7 +31,7 @@ namespace rtad::coresight {
 
 /// One formatted trace-port word: up to four bytes, in stream order.
 struct TpiuWord {
-  std::array<TraceByte, 4> bytes{};
+  std::array<trace::TraceByte, 4> bytes{};
   std::uint8_t count = 0;
 
   std::uint32_t data() const noexcept {
@@ -48,7 +48,8 @@ class Tpiu final : public sim::Component {
  public:
   /// `source` is the trace source's tx FIFO; `port_fifo_words` sizes the
   /// output FIFO feeding the IGM trace port.
-  explicit Tpiu(sim::Fifo<TraceByte>& source, std::size_t port_fifo_words = 64);
+  explicit Tpiu(sim::Fifo<trace::TraceByte>& source,
+                std::size_t port_fifo_words = 64);
 
   sim::Fifo<TpiuWord>& port() noexcept { return port_; }
 
@@ -106,16 +107,16 @@ class Tpiu final : public sim::Component {
   /// Apply the trace-fault sites to one popped byte. Returns false when the
   /// byte is consumed by the fault layer (dropped or truncated) and must
   /// not be formatted into the outgoing word.
-  bool apply_faults(TraceByte& tb);
+  bool apply_faults(trace::TraceByte& tb);
 
-  sim::Fifo<TraceByte>& source_;
+  sim::Fifo<trace::TraceByte>& source_;
   sim::Fifo<TpiuWord> port_;
   fault::FaultInjector* faults_ = nullptr;
   obs::CycleAccount* acct_ = nullptr;
   std::uint64_t words_emitted_ = 0;
 
   /// Duplicated byte awaiting insertion ahead of the next source byte.
-  TraceByte dup_byte_{};
+  trace::TraceByte dup_byte_{};
   bool dup_pending_ = false;
   /// Bytes left to swallow in the current truncation window.
   std::uint32_t truncate_remaining_ = 0;

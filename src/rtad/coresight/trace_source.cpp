@@ -25,7 +25,7 @@ void TraceSource::enqueue_bytes(const std::vector<std::uint8_t>& bytes,
                                 const cpu::BranchEvent& event) {
   for (std::uint8_t b : bytes) {
     trace_fifo_.try_push(
-        TraceByte{b, event.retired_ps, event.seq, event.injected});
+        trace::TraceByte{b, event.retired_ps, event.seq, event.injected});
   }
   bytes_generated_ += bytes.size();
   bytes_since_sync_ += bytes.size();

@@ -29,10 +29,6 @@
 
 namespace rtad::coresight {
 
-/// Trace bytes keep their sidebands as they cross the TPIU; the type is
-/// protocol-neutral and lives with the codec layer.
-using TraceByte = trace::TraceByte;
-
 struct TraceSourceConfig {
   std::size_t fifo_bytes = 256;        ///< on-chip trace FIFO capacity
   /// Drain starts at this fill level: the formatter waits for a quarter
@@ -57,7 +53,7 @@ class TraceSource final : public sim::Component {
   void submit(const cpu::BranchEvent& event);
 
   /// Drain side: the TPIU pulls from this FIFO.
-  sim::Fifo<TraceByte>& tx_fifo() noexcept { return tx_fifo_; }
+  sim::Fifo<trace::TraceByte>& tx_fifo() noexcept { return tx_fifo_; }
 
   void tick() override;
   void reset() override;
@@ -81,8 +77,9 @@ class TraceSource final : public sim::Component {
 
   TraceSourceConfig config_;
   std::unique_ptr<trace::TraceEncoder> encoder_;
-  sim::Fifo<TraceByte> trace_fifo_;  ///< on-chip buffering (threshold applies)
-  sim::Fifo<TraceByte> tx_fifo_;     ///< handoff to TPIU
+  /// On-chip buffering (the drain threshold applies).
+  sim::Fifo<trace::TraceByte> trace_fifo_;
+  sim::Fifo<trace::TraceByte> tx_fifo_;  ///< handoff to TPIU
   std::vector<std::uint8_t> scratch_;
 
   obs::CycleAccount* acct_ = nullptr;

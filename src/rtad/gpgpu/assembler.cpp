@@ -343,11 +343,19 @@ class Parser {
   std::map<std::string, std::uint32_t, std::less<>> labels_;
 };
 
+// Appends the index rather than prepending a literal to it: GCC 12 at -O3
+// reports a false -Wrestrict inside `"v" + std::to_string(i)`.
+std::string register_text(char file, std::uint32_t index) {
+  std::string text(1, file);
+  text += std::to_string(index);
+  return text;
+}
+
 std::string operand_text(const Operand& op) {
   switch (op.kind) {
     case OperandKind::kNone: return "";
-    case OperandKind::kSgpr: return "s" + std::to_string(op.index);
-    case OperandKind::kVgpr: return "v" + std::to_string(op.index);
+    case OperandKind::kSgpr: return register_text('s', op.index);
+    case OperandKind::kVgpr: return register_text('v', op.index);
     case OperandKind::kLiteral: {
       std::ostringstream os;
       os << "0x" << std::hex << op.literal;

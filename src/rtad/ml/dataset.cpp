@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <stdexcept>
 
 namespace rtad::ml {
 
@@ -14,6 +15,12 @@ DatasetBuilder::DatasetBuilder(const workloads::SpecProfile& profile,
       drift_at_ps_(drift_at_ps),
       generator_(profile, seed,
                  workloads::DriftCursor{drift_at_ps, /*frozen=*/true}) {
+  // Monitored sites are function entries, which only calls reach: without
+  // calls collect_lstm() would never find a token.
+  if (!(profile.call_fraction > 0.0)) {
+    throw std::invalid_argument("DatasetBuilder: profile '" + profile.name +
+                                "': call_fraction must be positive");
+  }
   // Pick an *index-contiguous* window of `monitored_sites` functions (a
   // "module" of the program — the call walk's locality lives in index
   // space) whose combined call rate matches the target. Contiguity is what
@@ -70,10 +77,10 @@ std::uint32_t DatasetBuilder::lstm_token(std::uint64_t address) const noexcept {
 LstmDataset DatasetBuilder::collect_lstm(std::size_t n_events) {
   LstmDataset ds;
   ds.tokens.reserve(n_events);
+  // Only waypoints can reach the IGM's address mapper, so the generator
+  // skips the conditionals between them without materialising them.
   while (ds.tokens.size() < n_events) {
-    const auto step = generator_.next();
-    const auto& ev = step.event;
-    if (!ev.taken || !cpu::is_waypoint(ev.kind)) continue;
+    const auto& ev = generator_.next_waypoint().event;
     const auto it =
         std::lower_bound(monitored_.begin(), monitored_.end(), ev.target);
     if (it == monitored_.end() || *it != ev.target) continue;

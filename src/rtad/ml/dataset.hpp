@@ -58,6 +58,8 @@ class DatasetBuilder {
   /// (offline collection spans far more nominal time than any drift phase,
   /// so letting it drift would smear phases together). Irrelevant — and the
   /// builder byte-identical — when the profile carries no active schedule.
+  /// Throws std::invalid_argument for a profile without calls
+  /// (call_fraction == 0): no monitored site could ever be reached.
   DatasetBuilder(const workloads::SpecProfile& profile, std::uint64_t seed,
                  FeatureConfig config = {}, std::uint64_t drift_at_ps = 0);
 

@@ -1,5 +1,6 @@
 #include "rtad/ml/lstm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -157,6 +158,12 @@ float Lstm::train(const std::vector<std::uint32_t>& tokens) {
   float* g_b = grad_ptr(3);
   float* g_by = grad_ptr(4);
 
+  // Per-step buffers, allocated once and reused by every chunk.
+  std::vector<StepCache> caches(config_.bptt);
+  for (auto& sc : caches) sc.probs.resize(v);
+  Vector dlogits(v), dh(hd), dpre(4 * hd);
+  Vector dh_next(hd), dc_next(hd), dh_prev(hd), dc_prev(hd);
+
   double final_epoch_nll = 0.0;
   std::uint64_t adam_t = 0;
 
@@ -168,51 +175,56 @@ float Lstm::train(const std::vector<std::uint32_t>& tokens) {
     for (std::size_t base = 0; base + config_.bptt + 1 <= tokens.size();
          base += config_.bptt) {
       // ---- forward through the chunk ----
-      std::vector<StepCache> caches;
-      caches.reserve(config_.bptt);
-      Vector h = state.h, c = state.c;
+      const Vector* h = &state.h;
+      const Vector* c = &state.c;
       for (std::uint32_t t = 0; t < config_.bptt; ++t) {
-        StepCache sc;
+        StepCache& sc = caches[t];
         sc.token = tokens[base + t];
         sc.target = tokens[base + t + 1];
-        sc.h_prev = h;
-        sc.c_prev = c;
+        sc.h_prev = *h;
+        sc.c_prev = *c;
         forward_cell(sc.token, sc.h_prev, sc.c_prev, sc.gates, sc.c, sc.h);
-        h = sc.h;
-        c = sc.c;
-        Vector logits = matvec(why_, h);
-        for (std::size_t i = 0; i < logits.size(); ++i) logits[i] += by_[i];
-        softmax(logits);
-        epoch_nll += -std::log(std::max(logits[sc.target], 1e-12f));
+        h = &sc.h;
+        c = &sc.c;
+        // logits = Why h + by, each row summed in column order (matvec's).
+        for (std::uint32_t r = 0; r < v; ++r) {
+          float acc = 0.0f;
+          const float* row = why_.data() + static_cast<std::size_t>(r) * hd;
+          for (std::uint32_t k = 0; k < hd; ++k) acc += row[k] * sc.h[k];
+          sc.probs[r] = acc + by_[r];
+        }
+        softmax(sc.probs);
+        epoch_nll += -std::log(std::max(sc.probs[sc.target], 1e-12f));
         ++epoch_steps;
-        sc.probs = std::move(logits);
-        caches.push_back(std::move(sc));
       }
-      state.h = h;
-      state.c = c;
+      state.h = *h;
+      state.c = *c;
 
       // ---- backward ----
+      // The transposed products dh = Why^T dlogits and dh_prev = Wh^T dpre
+      // walk the weights row by row (row-major, cache order) and add each
+      // row's term to every output. Every output still sums its terms in
+      // increasing r, so the result is bit-identical to a column-wise dot.
       std::fill(grad.begin(), grad.end(), 0.0f);
-      Vector dh_next(hd, 0.0f), dc_next(hd, 0.0f);
+      std::fill(dh_next.begin(), dh_next.end(), 0.0f);
+      std::fill(dc_next.begin(), dc_next.end(), 0.0f);
       for (std::size_t t = caches.size(); t-- > 0;) {
         const StepCache& sc = caches[t];
         // Softmax + cross-entropy.
-        Vector dlogits = sc.probs;
+        dlogits = sc.probs;
         dlogits[sc.target] -= 1.0f;
+        dh = dh_next;
         for (std::uint32_t r = 0; r < v; ++r) {
-          g_by[r] += dlogits[r];
+          const float d = dlogits[r];
+          g_by[r] += d;
           float* grow = g_why + static_cast<std::size_t>(r) * hd;
-          for (std::uint32_t k = 0; k < hd; ++k) grow[k] += dlogits[r] * sc.h[k];
-        }
-        Vector dh(hd, 0.0f);
-        for (std::uint32_t k = 0; k < hd; ++k) {
-          float acc = dh_next[k];
-          for (std::uint32_t r = 0; r < v; ++r) acc += why_(r, k) * dlogits[r];
-          dh[k] = acc;
+          const float* wrow = why_.data() + static_cast<std::size_t>(r) * hd;
+          for (std::uint32_t k = 0; k < hd; ++k) {
+            grow[k] += d * sc.h[k];
+            dh[k] += wrow[k] * d;
+          }
         }
         // Cell backward.
-        Vector dpre(4 * hd, 0.0f);
-        Vector dh_prev(hd, 0.0f), dc_prev(hd, 0.0f);
         for (std::uint32_t j = 0; j < hd; ++j) {
           const float i_g = sc.gates[j];
           const float f_g = sc.gates[hd + j];
@@ -230,23 +242,20 @@ float Lstm::train(const std::vector<std::uint32_t>& tokens) {
           dpre[2 * hd + j] = dg * (1.0f - g_g * g_g);
           dpre[3 * hd + j] = do_ * o_g * (1.0f - o_g);
         }
+        std::fill(dh_prev.begin(), dh_prev.end(), 0.0f);
         for (std::uint32_t r = 0; r < 4 * hd; ++r) {
-          g_b[r] += dpre[r];
-          g_wx[static_cast<std::size_t>(r) * v + sc.token] += dpre[r];
+          const float d = dpre[r];
+          g_b[r] += d;
+          g_wx[static_cast<std::size_t>(r) * v + sc.token] += d;
           float* grow = g_wh + static_cast<std::size_t>(r) * hd;
+          const float* wrow = wh_.data() + static_cast<std::size_t>(r) * hd;
           for (std::uint32_t k = 0; k < hd; ++k) {
-            grow[k] += dpre[r] * sc.h_prev[k];
+            grow[k] += d * sc.h_prev[k];
+            dh_prev[k] += wrow[k] * d;
           }
         }
-        for (std::uint32_t k = 0; k < hd; ++k) {
-          float acc = 0.0f;
-          for (std::uint32_t r = 0; r < 4 * hd; ++r) {
-            acc += wh_(r, k) * dpre[r];
-          }
-          dh_prev[k] = acc;
-        }
-        dh_next = std::move(dh_prev);
-        dc_next = std::move(dc_prev);
+        dh_next.swap(dh_prev);
+        dc_next.swap(dc_prev);
       }
 
       // ---- gradient clip (global norm) + Adam ----

@@ -32,12 +32,15 @@ void write_escaped(std::ostream& os, std::string_view s) {
 }  // namespace
 
 TrackId TraceSink::track(std::string name) {
-  tracks_.push_back(Track{std::move(name)});
+  Track t;
+  t.name = std::move(name);
+  tracks_.push_back(std::move(t));
   return static_cast<TrackId>(tracks_.size() - 1);
 }
 
 TrackId TraceSink::counter_track(std::string name) {
-  Track t{std::move(name)};
+  Track t;
+  t.name = std::move(name);
   t.is_counter = true;
   tracks_.push_back(std::move(t));
   return static_cast<TrackId>(tracks_.size() - 1);

@@ -40,15 +40,24 @@ class Xoshiro256 {
   }
 
   /// Uniform in [0, 1).
-  double uniform() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
+  double uniform() noexcept { return to_unit(next()); }
 
   /// Uniform integer in [0, bound). Uses Lemire's multiply-shift reduction.
   std::uint64_t uniform_below(std::uint64_t bound) noexcept {
     if (bound == 0) return 0;
+    return scale_below(next(), bound);
+  }
+
+  /// The maps uniform() and uniform_below() apply to one raw next() draw.
+  /// A caller that must consume draws before it knows whether it needs
+  /// their values takes them raw and maps them later, bit-identically.
+  static double to_unit(std::uint64_t raw) noexcept {
+    return static_cast<double>(raw >> 11) * 0x1.0p-53;
+  }
+  static std::uint64_t scale_below(std::uint64_t raw,
+                                   std::uint64_t bound) noexcept {
     return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
+        (static_cast<unsigned __int128>(raw) * bound) >> 64);
   }
 
   /// Bernoulli trial with probability p.
@@ -128,7 +137,13 @@ class ZipfSampler {
   }
 
   std::size_t sample(Xoshiro256& rng) const noexcept {
-    const double u = rng.uniform();
+    return index_of(rng.uniform());
+  }
+
+  /// The index sample() returns for the uniform draw `u` in [0, 1). Split
+  /// out so a caller can take the draw now and pay for the search only if
+  /// it turns out to need the index.
+  std::size_t index_of(double u) const noexcept {
     const auto b = static_cast<std::size_t>(
         u * static_cast<double>(kBuckets));  // u < 1 => b < kBuckets
     // Binary search for the first cdf entry >= u, within the bucket bounds.

@@ -48,11 +48,24 @@ struct DriftCursor {
 
 class TraceGenerator {
  public:
+  /// Throws std::invalid_argument, naming the field, for a profile the
+  /// grammar cannot run: no branch sites, no syscall kinds, or a negative
+  /// branch-kind fraction or a call/return/indirect mix above 1.
   TraceGenerator(const SpecProfile& profile, std::uint64_t seed,
                  DriftCursor drift = {});
 
   /// Produce the next step of the synthetic program.
   TraceStep next();
+
+  /// Advance to the next waypoint (call, return, indirect jump or syscall;
+  /// cpu::is_waypoint) and return it. The conditional branches on the way
+  /// consume exactly the RNG draws next() would, but their sites, outcomes
+  /// and targets are never computed. The returned instr_gap counts every
+  /// instruction retired since the previous step, skipped branches
+  /// included (saturating at UINT32_MAX), so the generator ends in the
+  /// state the same run of next() calls leaves: the waypoints equal next()'s
+  /// stream filtered to waypoints, with the gaps summed.
+  TraceStep next_waypoint();
 
   /// Convenience: synthesize `n` steps.
   std::vector<TraceStep> take(std::size_t n);
@@ -82,7 +95,12 @@ class TraceGenerator {
   std::uint32_t drift_phase() const noexcept;
 
  private:
-  std::uint64_t sample_site_in_phase();
+  /// One branch of the grammar, shared by next() and next_waypoint().
+  /// Returns false, with only `out.instr_gap` filled in, when
+  /// kWaypointsOnly and the branch is a conditional.
+  template <bool kWaypointsOnly>
+  bool advance(TraceStep& out);
+  std::uint64_t site_at(double zipf_u) const noexcept;
   void maybe_switch_phase();
 
   const SpecProfile profile_;  // by value: generator owns its configuration

@@ -13,6 +13,7 @@ namespace {
 using cpu::BranchEvent;
 using cpu::BranchKind;
 using trace::DecodedBranch;
+using trace::TraceByte;
 using trace::kContextIdHeader;
 using trace::kIsyncHeader;
 using trace::PftEncoder;

@@ -533,10 +533,17 @@ class ProgramFuzzer {
 
  private:
   int pick(int n) { return static_cast<int>(rng_() % static_cast<unsigned>(n)); }
-  std::string vr() { return "v" + std::to_string(3 + pick(nv_ - 3)); }
-  std::string vpair() { return "v" + std::to_string(4 + 2 * pick((nv_ - 5) / 2)); }
-  std::string sr() { return "s" + std::to_string(4 + pick(12)); }
-  std::string spair() { return "s" + std::to_string(4 + 2 * pick(6)); }
+  // Appends the index rather than prepending a literal to it: GCC 12 at -O3
+  // reports a false -Wrestrict inside `"v" + std::to_string(i)`.
+  static std::string reg(char file, int index) {
+    std::string name(1, file);
+    name += std::to_string(index);
+    return name;
+  }
+  std::string vr() { return reg('v', 3 + pick(nv_ - 3)); }
+  std::string vpair() { return reg('v', 4 + 2 * pick((nv_ - 5) / 2)); }
+  std::string sr() { return reg('s', 4 + pick(12)); }
+  std::string spair() { return reg('s', 4 + 2 * pick(6)); }
 
   std::string lit() {
     switch (pick(5)) {
@@ -580,13 +587,13 @@ class ProgramFuzzer {
     line("s_lshl_b32 s26, s1, 15");
     line("s_add_i32 s25, s25, s26");
     for (int r = 3; r < nv_; ++r) {
-      const std::string reg = "v" + std::to_string(r);
+      const std::string v = reg('v', r);
       switch (pick(3)) {
-        case 0: line("v_mov_b32 " + reg + ", " + lit()); break;
+        case 0: line("v_mov_b32 " + v + ", " + lit()); break;
         case 1:
-          line("v_mul_lo_i32 " + reg + ", v1, " + std::to_string(2 * r + 1));
+          line("v_mul_lo_i32 " + v + ", v1, " + std::to_string(2 * r + 1));
           break;
-        default: line("v_cvt_f32_u32 " + reg + ", v1"); break;
+        default: line("v_cvt_f32_u32 " + v + ", v1"); break;
       }
     }
     for (int s = 4; s < 16; ++s) {

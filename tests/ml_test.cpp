@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
+#include "rtad/core/experiment.hpp"
 #include "rtad/ml/dataset.hpp"
 #include "rtad/ml/elm.hpp"
 #include "rtad/ml/linalg.hpp"
@@ -13,6 +16,19 @@
 
 namespace rtad::ml {
 namespace {
+
+// FNV-1a over the object representation of a run of values (tokens or
+// float weights). Little-endian hosts only, like every golden in the suite.
+template <typename T>
+std::uint64_t fnv1a(const T* data, std::size_t n,
+                    std::uint64_t h = 0xCBF29CE484222325ULL) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n * sizeof(T); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
 
 TEST(Linalg, MatvecAndMatmul) {
   Matrix a(2, 3);
@@ -100,6 +116,20 @@ TEST(Dataset, LstmTokensWithinVocab) {
   }
 }
 
+TEST(Dataset, RejectsAProfileWithoutCalls) {
+  // Monitored sites are call targets: with no calls, collect_lstm() would
+  // spin forever, so the builder refuses the profile up front.
+  auto p = workloads::find_profile("omnetpp");
+  p.call_fraction = 0.0;
+  try {
+    DatasetBuilder builder(p, 5);
+    ADD_FAILURE() << "accepted a profile with call_fraction == 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("call_fraction"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Dataset, LstmTokenLookupMatchesCollection) {
   const auto& p = workloads::find_profile("omnetpp");
   DatasetBuilder builder(p, 5);
@@ -108,6 +138,34 @@ TEST(Dataset, LstmTokenLookupMatchesCollection) {
     EXPECT_EQ(builder.lstm_token(mon[i]), i);
   }
   EXPECT_EQ(builder.lstm_token(0xDEAD), builder.config().lstm_vocab - 1);
+}
+
+// Golden pins of the default model set-up on 456.hmmer. Any change to the
+// generator's draw order, the waypoint filter or the BPTT float arithmetic
+// moves one of these digests; a faster set-up must reproduce them exactly.
+TEST(Golden, HmmerLstmTokenStream) {
+  const core::TrainingOptions options;
+  DatasetBuilder builder(workloads::find_profile("hmmer"), options.seed);
+  const auto ds = builder.collect_lstm(options.lstm_train_tokens +
+                                       options.lstm_val_tokens);
+  ASSERT_EQ(ds.tokens.size(), 3800u);
+  EXPECT_EQ(fnv1a(ds.tokens.data(), ds.tokens.size()), 0x39FCEC1ACFAA8BA3ULL);
+}
+
+TEST(Golden, HmmerTrainedLstmAndThresholds) {
+  const auto models =
+      core::train_models(workloads::find_profile("hmmer"), {});
+  const Lstm& lstm = *models.lstm;
+  std::uint64_t h = fnv1a(lstm.wx().data(),
+                          lstm.wx().rows() * lstm.wx().cols());
+  h = fnv1a(lstm.wh().data(), lstm.wh().rows() * lstm.wh().cols(), h);
+  h = fnv1a(lstm.why().data(), lstm.why().rows() * lstm.why().cols(), h);
+  h = fnv1a(lstm.bias().data(), lstm.bias().size(), h);
+  h = fnv1a(lstm.by().data(), lstm.by().size(), h);
+  const float thresholds[] = {models.lstm_threshold.value(),
+                              models.elm_threshold.value()};
+  h = fnv1a(thresholds, 2, h);
+  EXPECT_EQ(h, 0xE90EC81B0DADCB76ULL);
 }
 
 TEST(Dataset, ElmWindowsNormalized) {

@@ -3,12 +3,40 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "rtad/workloads/spec_model.hpp"
 #include "rtad/workloads/trace_generator.hpp"
 
 namespace rtad::workloads {
 namespace {
+
+::testing::AssertionResult same_step(const TraceStep& a, const TraceStep& b) {
+  if (a.instr_gap == b.instr_gap && a.event.kind == b.event.kind &&
+      a.event.source == b.event.source && a.event.target == b.event.target &&
+      a.event.taken == b.event.taken) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "gap " << a.instr_gap << " vs " << b.instr_gap << ", kind "
+         << static_cast<int>(a.event.kind) << " vs "
+         << static_cast<int>(b.event.kind) << ", source " << a.event.source
+         << " vs " << b.event.source << ", target " << a.event.target
+         << " vs " << b.event.target << ", taken " << a.event.taken << " vs "
+         << b.event.taken;
+}
+
+// The constructor must refuse `p` with an invalid_argument naming `field`.
+void expect_rejected(const SpecProfile& p, const std::string& field) {
+  try {
+    TraceGenerator gen(p, 1);
+    ADD_FAILURE() << "accepted a profile with bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Catalog, HasAllTwelveBenchmarks) {
   const auto& suite = spec_cint2006();
@@ -268,6 +296,88 @@ TEST(TraceGenerator, DriftCursorFreezesOrAdvancesThePhase) {
   // admitted at fleet time T.
   TraceGenerator offset(p, 11, DriftCursor{3 * period_ps, false});
   EXPECT_EQ(offset.drift_phase(), 3u);
+}
+
+// next_waypoint() is next() filtered to waypoints with the skipped
+// instructions folded into the gap, and it leaves the generator exactly
+// where the plain walk does: same counters, same RNG, same phase window,
+// same shadow stack — so the next 100k next() steps agree too.
+TEST(TraceGenerator, NextWaypointIsTheFilteredNextStream) {
+  struct Case {
+    SpecProfile profile;
+    DriftCursor cursor;
+  };
+  std::vector<Case> cases;
+  for (const auto& p : spec_cint2006()) cases.push_back({p, {}});
+  auto drifting = find_profile("hmmer");
+  drifting.name += "+drift";
+  drifting.drift.period_us = 100;
+  drifting.drift.phases = 4;
+  drifting.drift.walk_bias = 2;
+  drifting.drift.syscall_rotate = 3;
+  drifting.drift.taken_swing = 0.2;
+  drifting.syscall_interval_instrs = 20'000;  // exercise the rotation
+  const std::uint64_t period_ps = drifting.drift.period_us * 1'000'000ULL;
+  cases.push_back({drifting, DriftCursor{0, true}});
+  cases.push_back({drifting, DriftCursor{3 * period_ps + 7, true}});
+  cases.push_back({drifting, DriftCursor{period_ps, false}});
+
+  for (const auto& c : cases) {
+    const std::string name =
+        c.profile.name + " @" + std::to_string(c.cursor.base_ps) +
+        (c.cursor.frozen ? " frozen" : " online");
+    TraceGenerator plain(c.profile, 17, c.cursor);
+    TraceGenerator fast(c.profile, 17, c.cursor);
+    std::size_t waypoints = 0;
+    while (fast.branches_emitted() < 200'000) {
+      TraceStep want = plain.next();
+      std::uint64_t gap = 0;
+      while (!cpu::is_waypoint(want.event.kind)) {
+        gap += want.instr_gap + 1;
+        want = plain.next();
+      }
+      want.instr_gap += static_cast<std::uint32_t>(gap);
+      ASSERT_TRUE(same_step(want, fast.next_waypoint()))
+          << name << ", waypoint " << waypoints;
+      ASSERT_EQ(plain.instructions_emitted(), fast.instructions_emitted())
+          << name;
+      ASSERT_EQ(plain.branches_emitted(), fast.branches_emitted()) << name;
+      ++waypoints;
+    }
+    EXPECT_GT(waypoints, 1'000u) << name;
+    EXPECT_EQ(plain.drift_phase(), fast.drift_phase()) << name;
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_TRUE(same_step(plain.next(), fast.next()))
+          << name << ", step " << i << " after the waypoint walk";
+    }
+  }
+}
+
+TEST(TraceGenerator, RejectsProfilesTheGrammarCannotRun) {
+  auto p = find_profile("gcc");
+  p.branch_sites = 0;
+  expect_rejected(p, "branch_sites");
+
+  p = find_profile("gcc");
+  p.syscall_kinds = 0;
+  expect_rejected(p, "syscall_kinds");
+
+  p = find_profile("gcc");
+  p.return_fraction = -0.01;
+  expect_rejected(p, "return_fraction");
+
+  p = find_profile("gcc");
+  p.call_fraction = 0.5;
+  p.return_fraction = 0.4;
+  p.indirect_fraction = 0.2;
+  expect_rejected(p, "call_fraction + return_fraction + indirect_fraction");
+
+  // A mix of exactly 1 (no conditionals at all) is a valid program.
+  p.indirect_fraction = 0.1;
+  TraceGenerator all_waypoints(p, 1);
+  for (int i = 0; i < 1'000; ++i) {
+    EXPECT_TRUE(cpu::is_waypoint(all_waypoints.next_waypoint().event.kind));
+  }
 }
 
 }  // namespace
