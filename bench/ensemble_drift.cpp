@@ -24,11 +24,10 @@
 //      the JSON body; wall-clock (including the retrain wall time) goes to
 //      stderr and the trailing "host" object only.
 //
-// Environment knobs: RTAD_ENSEMBLE_BENCH_BENCHMARK (default astar);
-// RTAD_ENSEMBLE_BENCH_ATTACKS per session (default 4);
-// RTAD_ENSEMBLE_BENCH_SESSIONS for the serve stage (default 8);
-// RTAD_ENSEMBLE_BENCH_JSON (default BENCH_ensemble.json);
-// RTAD_ENSEMBLE_FAST_TRAIN=1 shrinks training for CI; plus RTAD_SCHED /
+// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// astar); RTAD_BENCH_ATTACKS per session (default 4); RTAD_BENCH_SESSIONS
+// for the serve stage (default 8); RTAD_BENCH_JSON (default
+// BENCH_ensemble.json); RTAD_BENCH_FAST_TRAIN; plus RTAD_SCHED /
 // RTAD_BACKEND / RTAD_JOBS as everywhere. stdout and the JSON document
 // minus its trailing "host" object are byte-identical across schedulers,
 // backends, and worker counts.
@@ -39,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "frontend.hpp"
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
@@ -77,26 +77,19 @@ double fp_rate(const core::DetectionResult& r) {
 
 }  // namespace
 
-int main() {
+int run_ensemble() {
+  const std::string base_name = bench::benchmark("astar");
+  const std::string drift_name = base_name + "-drift";
+  const std::size_t attacks =
+      core::env::positive_or(bench::knob("RTAD_BENCH_ATTACKS"), 4);
+  const std::size_t sessions =
+      core::env::positive_or(bench::knob("RTAD_BENCH_SESSIONS"), 8);
+  const std::string json_path = core::env::string_or(
+      bench::knob("RTAD_BENCH_JSON"), "BENCH_ensemble.json");
+
   std::cout << "ENSEMBLE DRIFT: ROLLING GENERATIONS VS A PHASE-SHIFTING "
                "WORKLOAD\n\n";
 
-  const std::string base_name = workloads::find_profile(
-      core::env::string_or("RTAD_ENSEMBLE_BENCH_BENCHMARK", "astar")).name;
-  const std::string drift_name = base_name + "-drift";
-  const std::size_t attacks =
-      core::env::positive_or("RTAD_ENSEMBLE_BENCH_ATTACKS", 4);
-  const std::size_t sessions =
-      core::env::positive_or("RTAD_ENSEMBLE_BENCH_SESSIONS", 8);
-
-  core::TrainingOptions topt;
-  if (core::env::flag_or("RTAD_ENSEMBLE_FAST_TRAIN", false)) {
-    topt.lstm_train_tokens = 400;
-    topt.lstm_val_tokens = 150;
-    topt.elm_train_windows = 100;
-    topt.elm_val_windows = 40;
-    topt.lstm.epochs = 1;
-  }
   const auto resolver = [base_name,
                          drift_name](const std::string& name) {
     workloads::SpecProfile p = workloads::find_profile(
@@ -109,7 +102,8 @@ int main() {
     }
     return p;
   };
-  auto cache = std::make_shared<core::TrainedModelCache>(topt, resolver);
+  auto cache = std::make_shared<core::TrainedModelCache>(
+      bench::training_options(), resolver);
 
   core::EnsembleParams base_params;
   base_params.quorum = 0;  // full quorum: every member must agree to flag
@@ -287,8 +281,6 @@ int main() {
 
   // --- JSON artifact: deterministic body, host-dependent timings isolated
   // in the trailing "host" object ---
-  const std::string json_path = core::env::string_or(
-      "RTAD_ENSEMBLE_BENCH_JSON", "BENCH_ensemble.json");
   {
     std::ofstream js(json_path);
     obs::JsonWriter json(js);
@@ -362,3 +354,5 @@ int main() {
   std::cerr << "ensemble_drift: wrote " << json_path << "\n";
   return ok ? 0 : 1;
 }
+
+int main() { return bench::run("ensemble_drift", run_ensemble); }

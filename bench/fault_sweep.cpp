@@ -14,87 +14,27 @@
 // plus, for r>0, a 20k-cycle watchdog and the IGM drop-and-resync overflow
 // policy so every recovery path is exercised.
 //
-// Environment knobs: RTAD_SWEEP_BENCHMARK (default astar);
-// RTAD_SWEEP_MODELS="elm,lstm" / RTAD_SWEEP_ENGINES="miaow,ml-miaow"
-// (defaults lstm / ml-miaow); RTAD_SWEEP_ATTACKS=N (default 4);
-// RTAD_SWEEP_RATES="0,0.002,0.02" (sorted+deduped; default
-// "0,0.0002,0.001,0.005,0.02"); RTAD_SWEEP_JSON=path (default
-// BENCH_fault_sweep.json); RTAD_SWEEP_FAST_TRAIN=1 shrinks training;
+// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// astar); RTAD_BENCH_MODELS / RTAD_BENCH_ENGINES (defaults lstm /
+// ml-miaow); RTAD_BENCH_ATTACKS per cell (default 4); RTAD_BENCH_RATES
+// in [0, 0.1] (sorted+deduped; default "0,0.0002,0.001,0.005,0.02");
+// RTAD_BENCH_JSON (default BENCH_fault_sweep.json); RTAD_BENCH_FAST_TRAIN.
 // RTAD_JOBS / RTAD_SCHED as everywhere — stdout is byte-identical across
 // both and across worker counts (wall-clock diagnostics go to stderr).
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "frontend.hpp"
+#include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 
 using namespace rtad;
 
 namespace {
-
-std::vector<std::string> csv_items(const char* env) {
-  std::vector<std::string> items;
-  std::stringstream ss(env);
-  std::string item;
-  while (std::getline(ss, item, ',')) items.push_back(item);
-  return items;
-}
-
-std::vector<core::ModelKind> selected_models() {
-  std::vector<core::ModelKind> models;
-  if (const char* env = std::getenv("RTAD_SWEEP_MODELS")) {
-    for (const auto& item : csv_items(env)) {
-      if (item == "elm") {
-        models.push_back(core::ModelKind::kElm);
-      } else if (item == "lstm") {
-        models.push_back(core::ModelKind::kLstm);
-      } else {
-        std::cerr << "fault_sweep: unknown model '" << item << "'\n";
-        std::exit(2);
-      }
-    }
-  }
-  if (models.empty()) models.push_back(core::ModelKind::kLstm);
-  return models;
-}
-
-std::vector<core::EngineKind> selected_engines() {
-  std::vector<core::EngineKind> engines;
-  if (const char* env = std::getenv("RTAD_SWEEP_ENGINES")) {
-    for (const auto& item : csv_items(env)) {
-      if (item == "miaow") {
-        engines.push_back(core::EngineKind::kMiaow);
-      } else if (item == "ml-miaow") {
-        engines.push_back(core::EngineKind::kMlMiaow);
-      } else {
-        std::cerr << "fault_sweep: unknown engine '" << item << "'\n";
-        std::exit(2);
-      }
-    }
-  }
-  if (engines.empty()) engines.push_back(core::EngineKind::kMlMiaow);
-  return engines;
-}
-
-std::vector<double> selected_rates() {
-  const char* env = std::getenv("RTAD_SWEEP_RATES");
-  std::vector<double> rates;
-  for (const auto& item : csv_items(env ? env : "0,0.0002,0.001,0.005,0.02")) {
-    rates.push_back(std::stod(item));
-  }
-  std::sort(rates.begin(), rates.end());
-  rates.erase(std::unique(rates.begin(), rates.end()), rates.end());
-  if (rates.empty() || rates.front() < 0.0 || rates.back() > 0.1) {
-    std::cerr << "fault_sweep: rates must be in [0, 0.1]\n";
-    std::exit(2);
-  }
-  return rates;
-}
 
 fault::FaultPlan plan_for(double rate) {
   using fault::FaultSite;
@@ -127,21 +67,21 @@ std::uint64_t recovery_sum(const core::DetectionResult& d) {
 
 }  // namespace
 
-int main() {
-  std::cout << "FAULT SWEEP: DETECTION UNDER DETERMINISTIC FAULT INJECTION\n\n";
-
-  const char* benchmark_env = std::getenv("RTAD_SWEEP_BENCHMARK");
-  const std::string benchmark =
-      workloads::find_profile(benchmark_env ? benchmark_env : "astar").name;
-  const auto models = selected_models();
-  const auto engines = selected_engines();
-  const auto rates = selected_rates();
-
+int run_sweep() {
+  const std::string benchmark = bench::benchmark("astar");
+  const auto models = bench::models({core::ModelKind::kLstm});
+  const auto engines = bench::engines({core::EngineKind::kMlMiaow});
+  const auto rates = core::env::numbers_or(
+      bench::knob("RTAD_BENCH_RATES"), {0, 0.0002, 0.001, 0.005, 0.02}, 0.0,
+      0.1);
   core::DetectionOptions dopt;
-  dopt.attacks = 4;
-  if (const char* env = std::getenv("RTAD_SWEEP_ATTACKS")) {
-    dopt.attacks = static_cast<std::size_t>(std::atoi(env));
-  }
+  dopt.attacks = core::env::positive_or(bench::knob("RTAD_BENCH_ATTACKS"), 4);
+  const std::string json_path = core::env::string_or(
+      bench::knob("RTAD_BENCH_JSON"), "BENCH_fault_sweep.json");
+  auto cache =
+      std::make_shared<core::TrainedModelCache>(bench::training_options());
+
+  std::cout << "FAULT SWEEP: DETECTION UNDER DETERMINISTIC FAULT INJECTION\n\n";
 
   // Cell layout: per (model, engine) one baseline cell (no plan at all),
   // then one cell per rate bin (bin 0 runs the engaged-but-all-zero plan so
@@ -159,18 +99,6 @@ int main() {
         cells.push_back({benchmark, model, engine, opts});
       }
     }
-  }
-
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (const char* env = std::getenv("RTAD_SWEEP_FAST_TRAIN");
-      env != nullptr && env[0] == '1') {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
   }
 
   core::ExperimentRunner runner(0, cache);
@@ -243,8 +171,6 @@ int main() {
   std::cout << "\nZero-fault identity: " << (ok ? "PASS" : "FAIL") << "\n";
 
   // --- JSON artifact (rate bins ascending; deterministic fields only) ---
-  const char* json_env = std::getenv("RTAD_SWEEP_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_fault_sweep.json";
   {
     std::ofstream js(json_path);
     js << "{\n  \"benchmark\": \"" << benchmark << "\",\n"
@@ -285,3 +211,5 @@ int main() {
   runner.print_cell_costs(std::cerr, cells, results);
   return ok ? 0 : 1;
 }
+
+int main() { return bench::run("fault_sweep", run_sweep); }

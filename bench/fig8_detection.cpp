@@ -10,38 +10,28 @@
 // aggregated in submission order, so stdout is byte-identical for any
 // RTAD_JOBS value. Per-cell wall-clock/simulated-time costs go to stderr.
 //
-// Environment knobs: RTAD_FIG8_BENCHMARKS="gcc,mcf" restricts the suite;
-// RTAD_FIG8_MODELS="elm,lstm" and RTAD_FIG8_ENGINES="miaow,ml-miaow"
-// restrict the matrix columns (the summary lines adapt: engine-speedup
-// ratios need both engines, the overall line needs the full matrix);
-// RTAD_FIG8_ATTACKS=N sets attacks per configuration (default 8);
-// RTAD_FIG8_PROTO="pft,etrace" adds a trace-protocol axis to the matrix
-// (default: just the process protocol, i.e. RTAD_TRACE_PROTO — the table
-// shape and stdout are unchanged unless more than one protocol is listed;
-// per-protocol bytes/branch and decode-cycle stats go to stderr);
-// RTAD_JOBS=N sets worker count (default: hardware concurrency);
-// RTAD_FIG8_FAST_TRAIN=1 shrinks the training corpus so CI perf smokes are
-// dominated by simulation, not host-side model training (the resulting
-// latencies are still deterministic, just trained on fewer tokens);
-// RTAD_SCHED=dense|event selects the simulation kernel — stdout is
-// byte-identical either way, scheduler statistics go to stderr;
-// RTAD_BACKEND=cycle|fast selects the kernel execution backend (stdout and
-// metrics exports are byte-identical either way; the backend line and
-// gpu_exec_wall_ms go to stderr); RTAD_FIG8_BACKEND_PROBE=N times N
-// offline inferences of the first cell's kernels on both backends and
-// reports the kernel-simulation speedup to stderr;
-// RTAD_TRACE=<path> writes a Chrome-trace/Perfetto JSON per cell
-// (multi-cell runs insert ".cellNNN" before a trailing ".json");
-// RTAD_METRICS=<path> writes stable-key JSON run metrics the same way.
-// Both exports are byte-identical across schedulers and worker counts,
-// and leave stdout untouched (cycle accounts go to stderr).
+// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS restricts the suite
+// (default: all twelve); RTAD_BENCH_MODELS / RTAD_BENCH_ENGINES restrict
+// the matrix columns (the summary lines adapt: engine-speedup ratios need
+// both engines, the overall line needs the full matrix);
+// RTAD_BENCH_ATTACKS per cell (default 8); RTAD_BENCH_FAST_TRAIN=1 trains
+// on the reduced corpus and pre-warms every model before the timed matrix;
+// RTAD_BENCH_BACKEND_PROBE=N times N offline inferences of the first
+// cell's kernels on both backends and reports the kernel-simulation
+// speedup to stderr. Program knobs as everywhere: RTAD_JOBS, RTAD_SCHED
+// and RTAD_BACKEND leave stdout byte-identical (their statistics go to
+// stderr); RTAD_TRACE_PROTO picks the trace protocol (per-protocol
+// bytes/branch and decode-cycle stats go to stderr); RTAD_TRACE=<path> /
+// RTAD_METRICS=<path> write a Chrome-trace JSON / stable-key run metrics
+// per cell (multi-cell runs insert ".cellNNN" before a trailing ".json"),
+// byte-identical across schedulers and worker counts.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
+#include "frontend.hpp"
+#include "rtad/core/env.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/ml/kernel_compiler.hpp"
@@ -50,79 +40,6 @@
 using namespace rtad;
 
 namespace {
-
-std::vector<std::string> csv_items(const char* env) {
-  std::vector<std::string> items;
-  std::stringstream ss(env);
-  std::string item;
-  while (std::getline(ss, item, ',')) items.push_back(item);
-  return items;
-}
-
-std::vector<std::string> selected_benchmarks() {
-  if (const char* env = std::getenv("RTAD_FIG8_BENCHMARKS")) {
-    std::vector<std::string> names;
-    for (const auto& item : csv_items(env)) {
-      names.push_back(workloads::find_profile(item).name);
-    }
-    return names;
-  }
-  return workloads::spec_names();
-}
-
-std::vector<core::ModelKind> selected_models() {
-  if (const char* env = std::getenv("RTAD_FIG8_MODELS")) {
-    std::vector<core::ModelKind> models;
-    for (const auto& item : csv_items(env)) {
-      if (item == "elm") {
-        models.push_back(core::ModelKind::kElm);
-      } else if (item == "lstm") {
-        models.push_back(core::ModelKind::kLstm);
-      } else {
-        std::cerr << "fig8: unknown model '" << item << "' (elm|lstm)\n";
-        std::exit(2);
-      }
-    }
-    if (!models.empty()) return models;
-  }
-  return {core::ModelKind::kElm, core::ModelKind::kLstm};
-}
-
-std::vector<trace::TraceProtocol> selected_protocols() {
-  if (const char* env = std::getenv("RTAD_FIG8_PROTO")) {
-    std::vector<trace::TraceProtocol> protos;
-    for (const auto& item : csv_items(env)) {
-      if (item == "pft") {
-        protos.push_back(trace::TraceProtocol::kPft);
-      } else if (item == "etrace") {
-        protos.push_back(trace::TraceProtocol::kEtrace);
-      } else {
-        std::cerr << "fig8: unknown protocol '" << item << "' (pft|etrace)\n";
-        std::exit(2);
-      }
-    }
-    if (!protos.empty()) return protos;
-  }
-  return {trace::default_trace_protocol()};
-}
-
-std::vector<core::EngineKind> selected_engines() {
-  if (const char* env = std::getenv("RTAD_FIG8_ENGINES")) {
-    std::vector<core::EngineKind> engines;
-    for (const auto& item : csv_items(env)) {
-      if (item == "miaow") {
-        engines.push_back(core::EngineKind::kMiaow);
-      } else if (item == "ml-miaow") {
-        engines.push_back(core::EngineKind::kMlMiaow);
-      } else {
-        std::cerr << "fig8: unknown engine '" << item << "' (miaow|ml-miaow)\n";
-        std::exit(2);
-      }
-    }
-    if (!engines.empty()) return engines;
-  }
-  return {core::EngineKind::kMiaow, core::EngineKind::kMlMiaow};
-}
 
 struct Agg {
   double sum = 0;
@@ -136,99 +53,80 @@ struct Agg {
 
 }  // namespace
 
-int main() {
+int run_fig8() {
+  core::DetectionOptions dopt;
+  dopt.attacks = core::env::positive_or(bench::knob("RTAD_BENCH_ATTACKS"), 8);
+  const auto benchmarks = bench::benchmarks(workloads::spec_names());
+  const auto models =
+      bench::models({core::ModelKind::kElm, core::ModelKind::kLstm});
+  const auto engines =
+      bench::engines({core::EngineKind::kMiaow, core::EngineKind::kMlMiaow});
+  const std::uint64_t probes =
+      core::env::u64_or(bench::knob("RTAD_BENCH_BACKEND_PROBE"), 0);
+  auto cache =
+      std::make_shared<core::TrainedModelCache>(bench::training_options());
+
   std::cout << "FIG. 8: LATENCIES OF ANOMALY DETECTION (us)\n\n";
 
-  core::DetectionOptions dopt;
-  dopt.attacks = 8;
-  if (const char* env = std::getenv("RTAD_FIG8_ATTACKS")) {
-    dopt.attacks = static_cast<std::size_t>(std::atoi(env));
-  }
-
-  // Cell order per benchmark is protocol-major then model-major: with the
-  // default single protocol that's ELM/MIAOW, ELM/ML-MIAOW, LSTM/MIAOW,
-  // LSTM/ML-MIAOW in the full matrix — the table's column order.
-  const auto benchmarks = selected_benchmarks();
-  const auto protos = selected_protocols();
-  const auto models = selected_models();
-  const auto engines = selected_engines();
-  const std::size_t stride = protos.size() * models.size() * engines.size();
+  // Cell order per benchmark is model-major: ELM/MIAOW, ELM/ML-MIAOW,
+  // LSTM/MIAOW, LSTM/ML-MIAOW in the full matrix — the table's column
+  // order.
+  const std::size_t stride = models.size() * engines.size();
   std::vector<core::DetectionCell> cells;
   cells.reserve(benchmarks.size() * stride);
   for (const auto& name : benchmarks) {
-    for (const auto proto : protos) {
-      for (const auto model : models) {
-        for (const auto engine : engines) {
-          core::DetectionOptions popt = dopt;
-          popt.proto = proto;
-          cells.push_back({name, model, engine, popt});
-        }
+    for (const auto model : models) {
+      for (const auto engine : engines) {
+        cells.push_back({name, model, engine, dopt});
       }
     }
   }
 
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (const char* env = std::getenv("RTAD_FIG8_FAST_TRAIN");
-      env != nullptr && env[0] == '1') {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  }
-
-  // With a fast-train cache, pre-warm every benchmark's models before the
-  // matrix so the timed region below is pure simulation. Training is
+  // With the fast-train preset, pre-warm every benchmark's models before
+  // the matrix so the timed region below is pure simulation. Training is
   // identical host-side work under either scheduler kernel; keeping it out
   // of matrix_wall_ms lets the perf smoke compare the kernels themselves.
-  if (cache) {
+  if (bench::fast_train()) {
     for (const auto& name : benchmarks) cache->get(name);
   }
 
-  // Optional kernel-simulation probe (RTAD_FIG8_BACKEND_PROBE=N): run N
-  // offline inferences of the first cell's trained kernels on each backend
-  // and report the wall-clock ratio. This isolates the cost the execution
-  // backend is responsible for — inside the matrix, wall-clock during a
-  // launch also covers the concurrently simulated CPU/fabric domains,
-  // which no GPU backend can remove. Diagnostics only (stderr).
-  if (const char* env = std::getenv("RTAD_FIG8_BACKEND_PROBE")) {
-    const int probes = std::atoi(env);
-    if (probes > 0) {
-      if (!cache) cache = std::make_shared<core::TrainedModelCache>();
-      const core::TrainedModels& trained = cache->get(benchmarks.front());
-      const core::ModelKind probe_model = models.front();
-      const ml::ModelImage& image = trained.image(probe_model);
-      double wall_us[2] = {0.0, 0.0};
-      std::uint64_t probe_fast_launches = 0;
-      for (int bi = 0; bi < 2; ++bi) {
-        gpgpu::GpuConfig cfg;
-        cfg.backend =
-            bi == 0 ? gpgpu::GpuBackend::kCycle : gpgpu::GpuBackend::kFast;
-        gpgpu::Gpu gpu(cfg);
-        ml::load_image(gpu, image);
-        std::vector<std::uint32_t> payload(image.input_words, 1);
-        ml::run_inference_offline(gpu, image, payload);  // warm decode cache
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < probes; ++i) {
-          payload[0] = static_cast<std::uint32_t>(i % 13);
-          ml::run_inference_offline(gpu, image, payload);
-        }
-        wall_us[bi] = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        if (bi == 1) probe_fast_launches = gpu.fast_launches();
+  // Optional kernel-simulation probe: run `probes` offline inferences of
+  // the first cell's trained kernels on each backend and report the
+  // wall-clock ratio. This isolates the cost the execution backend is
+  // responsible for — inside the matrix, wall-clock during a launch also
+  // covers the concurrently simulated CPU/fabric domains, which no GPU
+  // backend can remove. Diagnostics only (stderr).
+  if (probes > 0) {
+    const core::TrainedModels& trained = cache->get(benchmarks.front());
+    const core::ModelKind probe_model = models.front();
+    const ml::ModelImage& image = trained.image(probe_model);
+    double wall_us[2] = {0.0, 0.0};
+    std::uint64_t probe_fast_launches = 0;
+    for (int bi = 0; bi < 2; ++bi) {
+      gpgpu::GpuConfig cfg;
+      cfg.backend =
+          bi == 0 ? gpgpu::GpuBackend::kCycle : gpgpu::GpuBackend::kFast;
+      gpgpu::Gpu gpu(cfg);
+      ml::load_image(gpu, image);
+      std::vector<std::uint32_t> payload(image.input_words, 1);
+      ml::run_inference_offline(gpu, image, payload);  // warm decode cache
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::uint64_t i = 0; i < probes; ++i) {
+        payload[0] = static_cast<std::uint32_t>(i % 13);
+        ml::run_inference_offline(gpu, image, payload);
       }
-      std::cerr << "fig8: backend_probe model="
-                << core::to_string(probe_model) << " inferences=" << probes
-                << " cycle_wall_us=" << static_cast<long long>(wall_us[0])
-                << " fast_wall_us=" << static_cast<long long>(wall_us[1])
-                << " kernel_speedup="
-                << core::fmt(wall_us[1] > 0 ? wall_us[0] / wall_us[1] : 0.0,
-                             2)
-                << " fast_launches=" << probe_fast_launches << "\n";
+      wall_us[bi] = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      if (bi == 1) probe_fast_launches = gpu.fast_launches();
     }
+    std::cerr << "fig8: backend_probe model=" << core::to_string(probe_model)
+              << " inferences=" << probes
+              << " cycle_wall_us=" << static_cast<long long>(wall_us[0])
+              << " fast_wall_us=" << static_cast<long long>(wall_us[1])
+              << " kernel_speedup="
+              << core::fmt(wall_us[1] > 0 ? wall_us[0] / wall_us[1] : 0.0, 2)
+              << " fast_launches=" << probe_fast_launches << "\n";
   }
 
   core::ExperimentRunner runner(0, cache);
@@ -264,16 +162,16 @@ int main() {
             << " skipped_edge_groups=" << skipped_groups
             << " skipped_cycles=" << skipped_cycles << "\n";
 
-  // Per-protocol trace-frontend costs: encoder bandwidth (bytes per decoded
-  // branch) and IGM decode occupancy. Diagnostics only (stderr) — the
-  // protocol axis must never perturb the stdout table for a fixed protocol
-  // list.
-  for (const auto proto : protos) {
+  // Trace-frontend costs of the run's protocol (RTAD_TRACE_PROTO): encoder
+  // bandwidth (bytes per decoded branch) and IGM decode occupancy.
+  // Diagnostics only (stderr); the perf smoke compares protocols by running
+  // the bench once per protocol.
+  {
+    const trace::TraceProtocol proto = trace::default_trace_protocol();
     std::uint64_t bytes = 0;
     std::uint64_t branches = 0;
     std::uint64_t busy = 0;
     for (const auto& r : results) {
-      if (r.detection.trace_protocol != proto) continue;
       bytes += r.detection.trace_bytes_generated;
       branches += r.detection.decode_branches;
       busy += r.detection.igm_busy_cycles;
@@ -288,30 +186,18 @@ int main() {
               << " igm_busy_cycles=" << busy << "\n";
   }
 
-  // Column labels carry a protocol prefix only when the protocol axis is
-  // actually swept — the default table is byte-identical to the
-  // single-protocol one.
-  const auto proto_prefix = [&](trace::TraceProtocol proto) {
-    return protos.size() > 1 ? std::string(trace::to_string(proto)) + ":"
-                             : std::string();
-  };
   std::vector<std::string> headers{"Benchmark"};
-  for (const auto proto : protos) {
-    for (const auto model : models) {
-      for (const auto engine : engines) {
-        headers.push_back(proto_prefix(proto) +
-                          std::string(core::to_string(model)) + "/" +
-                          core::to_string(engine));
-      }
+  for (const auto model : models) {
+    for (const auto engine : engines) {
+      headers.push_back(std::string(core::to_string(model)) + "/" +
+                        core::to_string(engine));
     }
   }
-  for (const auto proto : protos) {
-    for (const auto model : models) {
-      if (model != core::ModelKind::kLstm) continue;
-      for (const auto engine : engines) {
-        headers.push_back("drops(" + proto_prefix(proto) + "LSTM/" +
-                          core::to_string(engine) + ")");
-      }
+  for (const auto model : models) {
+    if (model != core::ModelKind::kLstm) continue;
+    for (const auto engine : engines) {
+      headers.push_back("drops(LSTM/" + std::string(core::to_string(engine)) +
+                        ")");
     }
   }
   core::Table table(headers);
@@ -340,13 +226,11 @@ int main() {
                             double& out) {
     double sum = 0.0;
     std::size_t n = 0;
-    for (std::size_t pi = 0; pi < protos.size(); ++pi) {
-      for (std::size_t mi = 0; mi < models.size(); ++mi) {
-        for (std::size_t ei = 0; ei < engines.size(); ++ei) {
-          if (models[mi] == model && engines[ei] == engine) {
-            sum += agg[(pi * models.size() + mi) * engines.size() + ei].mean();
-            ++n;
-          }
+    for (std::size_t mi = 0; mi < models.size(); ++mi) {
+      for (std::size_t ei = 0; ei < engines.size(); ++ei) {
+        if (models[mi] == model && engines[ei] == engine) {
+          sum += agg[mi * engines.size() + ei].mean();
+          ++n;
         }
       }
     }
@@ -396,3 +280,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return bench::run("fig8", run_fig8); }

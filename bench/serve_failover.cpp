@@ -14,28 +14,26 @@
 // and the parked-blob byte footprint (high watermark + per-blob sizes) —
 // the bounded-memory half of the failover contract.
 //
-// Environment knobs: RTAD_FAILOVER_SESSIONS (default 24);
-// RTAD_FAILOVER_TENANTS (default 10); RTAD_FAILOVER_ZIPF_S (default 1.2);
-// RTAD_FAILOVER_STORMS="0.3,0.9" crash-rate sweep (default "0.3,0.9");
-// RTAD_FAILOVER_SEED (default 2026); RTAD_FAILOVER_JSON=path (default
-// BENCH_serve_failover.json); RTAD_SERVE_FAST_TRAIN=1 shrinks training;
-// plus the fleet-shape and failover knobs parsed by
-// ServiceConfig::from_env (RTAD_SERVE_SHARDS / LANES / QUEUE / RETRY /
-// CHECKPOINT_EVERY / CHECKPOINT_CAP_KB / REBALANCE_GAP_US / MIGRATE_US)
-// and RTAD_JOBS / RTAD_SCHED as everywhere. stdout and the JSON artifact
-// are byte-identical across both schedulers and any worker count;
-// wall-clock and ru_maxrss diagnostics go to stderr only.
-#include <sys/resource.h>
-
+// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// astar); RTAD_BENCH_SESSIONS (default 24); RTAD_BENCH_TENANTS (default
+// 10); RTAD_BENCH_ZIPF_S in [0, 10] (default 1.2); RTAD_BENCH_STORMS
+// crash-rate sweep in [0.01, 1] (sorted+deduped; default "0.3,0.9");
+// RTAD_BENCH_SEED (default 2026); RTAD_BENCH_JSON (default
+// BENCH_serve_failover.json); RTAD_BENCH_FAST_TRAIN. Plus the fleet-shape
+// and failover knobs parsed by ServiceConfig::from_env (RTAD_SERVE_SHARDS
+// / LANES / QUEUE / RETRY / CHECKPOINT_EVERY / CHECKPOINT_CAP_KB /
+// REBALANCE_GAP_US / MIGRATE_US; the retry budget defaults to 6 here) and
+// RTAD_JOBS / RTAD_SCHED as everywhere. stdout and the JSON artifact are
+// byte-identical across both schedulers and any worker count; wall-clock
+// and peak-RSS diagnostics go to stderr only.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "frontend.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/experiment_runner.hpp"
@@ -47,21 +45,6 @@
 using namespace rtad;
 
 namespace {
-
-std::vector<double> storm_intensities() {
-  const auto raw = core::env::raw("RTAD_FAILOVER_STORMS");
-  std::vector<double> storms;
-  std::stringstream ss(raw ? *raw : std::string("0.3,0.9"));
-  std::string item;
-  while (std::getline(ss, item, ',')) storms.push_back(std::stod(item));
-  std::sort(storms.begin(), storms.end());
-  storms.erase(std::unique(storms.begin(), storms.end()), storms.end());
-  if (storms.empty() || storms.front() <= 0.0 || storms.back() > 1.0) {
-    std::cerr << "serve_failover: storm intensities must be in (0, 1]\n";
-    std::exit(2);
-  }
-  return storms;
-}
 
 fault::ServeFaultPlan storm_plan(double intensity) {
   fault::ServeFaultPlan plan;
@@ -87,19 +70,20 @@ bool same_verdict(const core::DetectionResult& a,
 
 }  // namespace
 
-int main() {
-  std::cout << "SERVE FAILOVER: FAULT STORM VS CHECKPOINTED RECOVERY\n\n";
-
-  const std::string benchmark = workloads::find_profile(
-      core::env::string_or("RTAD_SERVE_BENCHMARK", "astar")).name;
+int run_failover() {
+  const std::string benchmark = bench::benchmark("astar");
   const std::size_t sessions =
-      core::env::positive_or("RTAD_FAILOVER_SESSIONS", 24);
+      core::env::positive_or(bench::knob("RTAD_BENCH_SESSIONS"), 24);
   const std::size_t tenants =
-      core::env::positive_or("RTAD_FAILOVER_TENANTS", 10);
+      core::env::positive_or(bench::knob("RTAD_BENCH_TENANTS"), 10);
   const double zipf_s =
-      std::stod(core::env::string_or("RTAD_FAILOVER_ZIPF_S", "1.2"));
-  const std::uint64_t seed = core::env::u64_or("RTAD_FAILOVER_SEED", 2026);
-  const auto storms = storm_intensities();
+      core::env::number_or(bench::knob("RTAD_BENCH_ZIPF_S"), 1.2, 0.0, 10.0);
+  const std::uint64_t seed =
+      core::env::u64_or(bench::knob("RTAD_BENCH_SEED"), 2026);
+  const auto storms = core::env::numbers_or(bench::knob("RTAD_BENCH_STORMS"),
+                                            {0.3, 0.9}, 0.01, 1.0);
+  const std::string json_path = core::env::string_or(
+      bench::knob("RTAD_BENCH_JSON"), "BENCH_serve_failover.json");
 
   serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
   scfg.detection.attacks = 1;
@@ -108,20 +92,14 @@ int main() {
   // The sweep owns the fault plan; whatever RTAD_FAULTS says about serve.*
   // applies shape parameters only (rates come from the storm intensity).
   scfg.serve_faults = fault::ServeFaultPlan{};
-  if (scfg.retry_budget == 0) scfg.retry_budget = 6;
+  // A storm needs retries to recover; an explicit RTAD_SERVE_RETRY (0
+  // included) wins.
+  if (!core::env::raw("RTAD_SERVE_RETRY")) scfg.retry_budget = 6;
 
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (core::env::flag_or("RTAD_SERVE_FAST_TRAIN", false)) {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  } else {
-    cache = std::make_shared<core::TrainedModelCache>();
-  }
+  std::cout << "SERVE FAILOVER: FAULT STORM VS CHECKPOINTED RECOVERY\n\n";
+
+  auto cache =
+      std::make_shared<core::TrainedModelCache>(bench::training_options());
 
   // One episode calibrates the arrival spacing: the fleet stays busy (load
   // about 1) through the storm horizon so faults actually land on work.
@@ -256,8 +234,6 @@ int main() {
   std::cout << "Zero-divergence gate: " << (ok ? "PASS" : "FAIL") << "\n";
 
   // --- JSON artifact ---
-  const std::string json_path = core::env::string_or(
-      "RTAD_FAILOVER_JSON", "BENCH_serve_failover.json");
   {
     std::ofstream js(json_path);
     obs::JsonWriter json(js);
@@ -287,12 +263,11 @@ int main() {
   }
   std::cerr << "serve_failover: wrote " << json_path << "\n";
 
-  // Host-side footprint: stderr only (wall-clock/host-dependent, never part
-  // of the byte-stable surface).
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) == 0) {
-    std::cerr << "serve_failover: ru_maxrss " << ru.ru_maxrss << " KiB\n";
-  }
-
+  // Host-side footprint: stderr only (host-dependent, never part of the
+  // byte-stable surface).
+  std::cerr << "serve_failover: peak RSS (VmHWM) " << bench::peak_rss_kib()
+            << " KiB\n";
   return ok ? 0 : 1;
 }
+
+int main() { return bench::run("serve_failover", run_failover); }

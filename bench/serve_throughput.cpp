@@ -17,25 +17,24 @@
 // a sweep whose sessions all fit in shards x (queue + lanes) can never shed,
 // so the bench refuses it up front (exit 2, "fleet-overload-cannot-shed").
 //
-// Environment knobs: RTAD_SERVE_BENCHMARK (default astar);
-// RTAD_SERVE_SESSIONS=N (default 32); RTAD_SERVE_TENANTS=T (default 12);
-// RTAD_SERVE_ATTACKS=A per episode (default 1);
-// RTAD_SERVE_LOADS="0.5,1.5,6" (sorted+deduped; default "0.5,1.5,6");
-// RTAD_SERVE_SEED (default 2026); RTAD_SERVE_JSON=path (default
-// BENCH_serve.json); RTAD_SERVE_FAST_TRAIN=1 shrinks training; plus the
-// fleet-shape knobs parsed by ServiceConfig::from_env (RTAD_SERVE_SHARDS /
-// LANES / QUEUE / POLICY / QUANTUM_US) and RTAD_JOBS / RTAD_SCHED as
-// everywhere. stdout and BENCH_serve.json are byte-identical across both
-// schedulers and any worker count; wall-clock diagnostics go to stderr.
+// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// astar); RTAD_BENCH_SESSIONS (default 32); RTAD_BENCH_TENANTS (default
+// 12); RTAD_BENCH_ATTACKS per episode (default 1); RTAD_BENCH_LOADS in
+// [0.01, 16] (sorted+deduped; default "0.5,1.5,6"); RTAD_BENCH_SEED
+// (default 2026); RTAD_BENCH_JSON (default BENCH_serve.json);
+// RTAD_BENCH_FAST_TRAIN. Plus the fleet-shape knobs parsed by
+// ServiceConfig::from_env (RTAD_SERVE_SHARDS / LANES / QUEUE / POLICY /
+// QUANTUM_US) and RTAD_JOBS / RTAD_SCHED as everywhere. stdout and
+// BENCH_serve.json are byte-identical across both schedulers and any
+// worker count; wall-clock diagnostics go to stderr.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "frontend.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/experiment_runner.hpp"
@@ -51,21 +50,6 @@ namespace {
 /// Loads at or above this must shed or degrade (the deep-overload gate).
 constexpr double kDeepOverload = 4.0;
 
-std::vector<double> selected_loads() {
-  const auto raw = core::env::raw("RTAD_SERVE_LOADS");
-  std::vector<double> loads;
-  std::stringstream ss(raw ? *raw : std::string("0.5,1.5,6"));
-  std::string item;
-  while (std::getline(ss, item, ',')) loads.push_back(std::stod(item));
-  std::sort(loads.begin(), loads.end());
-  loads.erase(std::unique(loads.begin(), loads.end()), loads.end());
-  if (loads.empty() || loads.front() <= 0.0 || loads.back() > 16.0) {
-    std::cerr << "serve_throughput: loads must be in (0, 16]\n";
-    std::exit(2);
-  }
-  return loads;
-}
-
 serve::TenantClass class_of(std::size_t tenant_index) {
   // Two batch tenants out of every six; the rest interactive.
   return tenant_index % 3 == 2 ? serve::TenantClass::kBatch
@@ -79,17 +63,22 @@ core::ModelKind model_of(serve::TenantClass cls) {
 
 }  // namespace
 
-int main() {
-  std::cout << "SERVE THROUGHPUT: MULTI-TENANT FLEET UNDER OPEN-LOOP LOAD\n\n";
-
-  const std::string benchmark = workloads::find_profile(
-      core::env::string_or("RTAD_SERVE_BENCHMARK", "astar")).name;
+int run_serve() {
+  const std::string benchmark = bench::benchmark("astar");
   const std::size_t sessions =
-      core::env::positive_or("RTAD_SERVE_SESSIONS", 32);
-  const std::size_t tenants = core::env::positive_or("RTAD_SERVE_TENANTS", 12);
-  const std::size_t attacks = core::env::positive_or("RTAD_SERVE_ATTACKS", 1);
-  const std::uint64_t seed = core::env::u64_or("RTAD_SERVE_SEED", 2026);
-  const auto loads = selected_loads();
+      core::env::positive_or(bench::knob("RTAD_BENCH_SESSIONS"), 32);
+  const std::size_t tenants =
+      core::env::positive_or(bench::knob("RTAD_BENCH_TENANTS"), 12);
+  const std::size_t attacks =
+      core::env::positive_or(bench::knob("RTAD_BENCH_ATTACKS"), 1);
+  const std::uint64_t seed =
+      core::env::u64_or(bench::knob("RTAD_BENCH_SEED"), 2026);
+  const auto loads = core::env::numbers_or(bench::knob("RTAD_BENCH_LOADS"),
+                                           {0.5, 1.5, 6}, 0.01, 16.0);
+  const std::string json_path = core::env::string_or(
+      bench::knob("RTAD_BENCH_JSON"), "BENCH_serve.json");
+
+  std::cout << "SERVE THROUGHPUT: MULTI-TENANT FLEET UNDER OPEN-LOOP LOAD\n\n";
 
   serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
   scfg.detection.attacks = attacks;
@@ -104,23 +93,13 @@ int main() {
     std::cerr << "serve_throughput: refused (fleet-overload-cannot-shed): "
               << sessions << " sessions fit in shards x (queue + lanes) = "
               << room << ", so load " << loads.back()
-              << " can never shed; raise RTAD_SERVE_SESSIONS above " << room
+              << " can never shed; raise RTAD_BENCH_SESSIONS above " << room
               << "\n";
     return 2;
   }
 
-  std::shared_ptr<core::TrainedModelCache> cache;
-  if (core::env::flag_or("RTAD_SERVE_FAST_TRAIN", false)) {
-    core::TrainingOptions fast;
-    fast.lstm_train_tokens = 400;
-    fast.lstm_val_tokens = 150;
-    fast.elm_train_windows = 100;
-    fast.elm_val_windows = 40;
-    fast.lstm.epochs = 1;
-    cache = std::make_shared<core::TrainedModelCache>(fast);
-  } else {
-    cache = std::make_shared<core::TrainedModelCache>();
-  }
+  auto cache =
+      std::make_shared<core::TrainedModelCache>(bench::training_options());
 
   // --- calibration: one episode per tenant class, serve-identical options
   const auto profile = cache->profile(benchmark);
@@ -247,8 +226,6 @@ int main() {
   std::cout << "Saturation gates: " << (ok ? "PASS" : "FAIL") << "\n";
 
   // --- JSON artifact ---
-  const std::string json_path =
-      core::env::string_or("RTAD_SERVE_JSON", "BENCH_serve.json");
   {
     std::ofstream js(json_path);
     obs::JsonWriter json(js);
@@ -283,3 +260,5 @@ int main() {
 
   return ok ? 0 : 1;
 }
+
+int main() { return bench::run("serve_throughput", run_serve); }

@@ -21,15 +21,13 @@
 // coverage conserves every ingested sample; every hot tenant outranks every
 // warm tenant; repeated queries are byte-identical.
 //
-// Environment knobs: RTAD_TELEMETRY_TENANTS (default 100000);
-// RTAD_TELEMETRY_SAMPLES per tenant (default 24); RTAD_TELEMETRY_QUERIES
+// Knobs (README "Bench knobs"): RTAD_BENCH_TENANTS (default 100000);
+// RTAD_BENCH_SAMPLES per tenant (default 24); RTAD_BENCH_QUERIES
 // ranked-query repetitions for the latency distribution (default 32);
-// RTAD_TELEMETRY_SEED (default 2026); RTAD_TELEMETRY_BENCH_JSON (default
+// RTAD_BENCH_SEED (default 2026); RTAD_BENCH_JSON (default
 // BENCH_telemetry.json); plus the store shape via RTAD_TELEMETRY /
 // RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE (bench defaults: no spill,
 // 32 MiB cap, 8-sample pages).
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -39,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "frontend.hpp"
 #include "rtad/core/env.hpp"
 #include "rtad/core/report.hpp"
 #include "rtad/obs/json.hpp"
@@ -130,19 +129,20 @@ double wall_ms(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-int main() {
-  std::cout << "TELEMETRY RING STORE + RANKED ANOMALY QUERY ENGINE\n\n";
-
+int run_telemetry() {
   const std::size_t tenants =
-      core::env::positive_or("RTAD_TELEMETRY_TENANTS", 100'000);
+      core::env::positive_or(bench::knob("RTAD_BENCH_TENANTS"), 100'000);
   const std::size_t samples =
-      core::env::positive_or("RTAD_TELEMETRY_SAMPLES", 24);
+      core::env::positive_or(bench::knob("RTAD_BENCH_SAMPLES"), 24);
   const std::size_t query_reps =
-      core::env::positive_or("RTAD_TELEMETRY_QUERIES", 32);
-  const std::uint64_t seed = core::env::u64_or("RTAD_TELEMETRY_SEED", 2026);
+      core::env::positive_or(bench::knob("RTAD_BENCH_QUERIES"), 32);
+  const std::uint64_t seed =
+      core::env::u64_or(bench::knob("RTAD_BENCH_SEED"), 2026);
+  const std::string json_path = core::env::string_or(
+      bench::knob("RTAD_BENCH_JSON"), "BENCH_telemetry.json");
   if (tenants <= kHotTenants + kWarmTenants) {
-    std::cerr << "telemetry_query: need more tenants than the planted "
-                 "cohorts\n";
+    std::cerr << "telemetry_query: RTAD_BENCH_TENANTS must exceed the "
+              << kHotTenants + kWarmTenants << " planted tenants\n";
     return 2;
   }
 
@@ -154,6 +154,7 @@ int main() {
     store_cfg.cap_bytes = 32ull * 1024 * 1024;
   }
 
+  std::cout << "TELEMETRY RING STORE + RANKED ANOMALY QUERY ENGINE\n\n";
   std::cout << "Streams: " << tenants << " tenants x " << samples
             << " samples (" << tenants * samples << " total), page "
             << store_cfg.page_samples << ", cap "
@@ -326,8 +327,6 @@ int main() {
 
   // --- JSON artifact: deterministic core + explicitly host-dependent
   // "host" object (CI strips "host" before comparing across modes) ---
-  const std::string json_path = core::env::string_or(
-      "RTAD_TELEMETRY_BENCH_JSON", "BENCH_telemetry.json");
   {
     std::ofstream js(json_path);
     obs::JsonWriter json(js);
@@ -396,9 +395,9 @@ int main() {
   }
   std::cerr << "telemetry_query: wrote " << json_path << "\n";
 
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) == 0) {
-    std::cerr << "telemetry_query: ru_maxrss " << ru.ru_maxrss << " KiB\n";
-  }
+  std::cerr << "telemetry_query: peak RSS (VmHWM) " << bench::peak_rss_kib()
+            << " KiB\n";
   return ok ? 0 : 1;
 }
+
+int main() { return bench::run("telemetry_query", run_telemetry); }

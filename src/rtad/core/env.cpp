@@ -1,8 +1,10 @@
 #include "rtad/core/env.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 namespace rtad::core::env {
@@ -19,6 +21,22 @@ namespace {
 /// not — " 4" is as much a typo as "4 ".
 bool leading_space(const std::string& v) {
   return !v.empty() && std::isspace(static_cast<unsigned char>(v[0])) != 0;
+}
+
+/// One number under the knob grammar; `text` is the whole value or one
+/// list item. NaN fails the range test.
+double parse_number(const char* name, const std::string& text, double lo,
+                    double hi) {
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (leading_space(text) || errno != 0 || end == text.c_str() ||
+      *end != '\0' || !(parsed >= lo && parsed <= hi)) {
+    reject(name, text,
+           "a number in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+               "]");
+  }
+  return parsed;
 }
 
 }  // namespace
@@ -62,17 +80,33 @@ std::uint64_t u64_or(const char* name, std::uint64_t fallback) {
 
 double number_or(const char* name, double fallback, double lo, double hi) {
   const auto v = raw(name);
+  return v ? parse_number(name, *v, lo, hi) : fallback;
+}
+
+std::vector<std::string> list_or(const char* name,
+                                 std::vector<std::string> fallback) {
+  const auto v = raw(name);
   if (!v) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (leading_space(*v) || errno != 0 || end == v->c_str() || *end != '\0' ||
-      parsed < lo || parsed > hi) {
-    reject(name, *v,
-           "a number in [" + std::to_string(lo) + ", " + std::to_string(hi) +
-               "]");
+  std::vector<std::string> items;
+  // The appended comma turns a trailing "a," into an empty last item.
+  std::istringstream in(*v + ',');
+  for (std::string item; std::getline(in, item, ',');) {
+    if (item.empty()) reject(name, *v, "comma-separated items, none empty");
+    items.push_back(std::move(item));
   }
-  return parsed;
+  return items;
+}
+
+std::vector<double> numbers_or(const char* name, std::vector<double> fallback,
+                               double lo, double hi) {
+  if (!raw(name)) return fallback;
+  std::vector<double> numbers;
+  for (const auto& item : list_or(name, {})) {
+    numbers.push_back(parse_number(name, item, lo, hi));
+  }
+  std::sort(numbers.begin(), numbers.end());
+  numbers.erase(std::unique(numbers.begin(), numbers.end()), numbers.end());
+  return numbers;
 }
 
 std::string choice_or(const char* name,

@@ -24,13 +24,14 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace rtad::core::env {
 
 /// Raw value of `name`; nullopt when unset or set to the empty string.
 std::optional<std::string> raw(const char* name);
 
-/// Free-form string knob (paths, CSV lists); no validation beyond the
+/// Free-form string knob (paths); no validation beyond the
 /// empty-means-unset rule.
 std::string string_or(const char* name, std::string fallback);
 
@@ -45,6 +46,17 @@ std::uint64_t u64_or(const char* name, std::uint64_t fallback);
 /// Floating-point knob constrained to [lo, hi]. Throws on malformed or
 /// out-of-range values.
 double number_or(const char* name, double fallback, double lo, double hi);
+
+/// Comma-separated list knob ("gcc,mcf"). Throws on an empty item
+/// ("a,,b", "a,").
+std::vector<std::string> list_or(const char* name,
+                                 std::vector<std::string> fallback);
+
+/// Comma-separated number list, each item under number_or's grammar and
+/// constrained to [lo, hi]. A set list is returned sorted ascending with
+/// duplicates removed. Throws on an empty, malformed or out-of-range item.
+std::vector<double> numbers_or(const char* name, std::vector<double> fallback,
+                               double lo, double hi);
 
 /// Enumerated knob: the value must equal one of `allowed` exactly. Throws
 /// with a message listing the accepted spellings.

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "rtad/core/env.hpp"
 
@@ -67,10 +68,41 @@ TEST_F(EnvTest, NumberOrEnforcesRange) {
   EXPECT_EQ(number_or(kVar, 0.5, 0.0, 1.0), 0.5);
   set("0.25");
   EXPECT_EQ(number_or(kVar, 0.5, 0.0, 1.0), 0.25);
-  for (const char* bad : {"1.5", "-0.1", "half", "0.2x"}) {
+  for (const char* bad : {"1.5", "-0.1", "half", "0.2x", "nan"}) {
     set(bad);
     EXPECT_THROW(number_or(kVar, 0.5, 0.0, 1.0), std::invalid_argument)
         << bad;
+  }
+}
+
+TEST_F(EnvTest, ListOrSplitsOnCommasAndRefusesEmptyItems) {
+  const std::vector<std::string> fb{"x"};
+  EXPECT_EQ(list_or(kVar, fb), fb);
+  set("");
+  EXPECT_EQ(list_or(kVar, fb), fb);
+  set("gcc");
+  EXPECT_EQ(list_or(kVar, fb), std::vector<std::string>{"gcc"});
+  set("gcc,mcf,gcc");  // order and repeats are the caller's business
+  EXPECT_EQ(list_or(kVar, fb),
+            (std::vector<std::string>{"gcc", "mcf", "gcc"}));
+  for (const char* bad : {"a,,b", "a,", ",a", ","}) {
+    set(bad);
+    EXPECT_THROW(list_or(kVar, fb), std::invalid_argument) << bad;
+  }
+}
+
+TEST_F(EnvTest, NumbersOrSortsDedupesAndEnforcesRange) {
+  const std::vector<double> fb{0.5, 1.5};
+  EXPECT_EQ(numbers_or(kVar, fb, 0.0, 2.0), fb);
+  set("");
+  EXPECT_EQ(numbers_or(kVar, fb, 0.0, 2.0), fb);
+  set("1.5,0,0.25,1.5,2");  // both bounds are inclusive
+  EXPECT_EQ(numbers_or(kVar, fb, 0.0, 2.0),
+            (std::vector<double>{0.0, 0.25, 1.5, 2.0}));
+  for (const char* bad :
+       {"1,,2", "0.5x", "0.5,x", "-0.1", "2.01", "0.5, 1", "1,", "nan"}) {
+    set(bad);
+    EXPECT_THROW(numbers_or(kVar, fb, 0.0, 2.0), std::invalid_argument) << bad;
   }
 }
 
@@ -108,6 +140,16 @@ TEST_F(EnvTest, ErrorsNameTheVariableAndTheValue) {
     const std::string what = e.what();
     EXPECT_NE(what.find(kVar), std::string::npos) << what;
     EXPECT_NE(what.find("fulL"), std::string::npos) << what;
+  }
+  set("0.01,0.5q");
+  try {
+    numbers_or(kVar, {}, 0.0, 1.0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(kVar), std::string::npos) << what;
+    EXPECT_NE(what.find("'0.5q'"), std::string::npos) << what;
+    EXPECT_NE(what.find("number in [0"), std::string::npos) << what;
   }
 }
 

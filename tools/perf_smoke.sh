@@ -19,14 +19,14 @@
 # per-protocol encoder bandwidth (bytes per decoded branch).
 #
 # The speedups are computed on fig8's matrix_wall_ms (the detection matrix
-# itself): with RTAD_FIG8_FAST_TRAIN the bench pre-warms the model cache
+# itself): with RTAD_BENCH_FAST_TRAIN the bench pre-warms the model cache
 # before the matrix, so model training — identical host-side work under
 # every kernel/backend — stays out of the timed region. Total process
 # walls are still recorded in the JSON for context.
 #
 # Usage: tools/perf_smoke.sh <build-dir> [output-json]
-# Knobs (defaults chosen for CI): RTAD_FIG8_BENCHMARKS, RTAD_FIG8_MODELS,
-# RTAD_FIG8_ENGINES, RTAD_FIG8_ATTACKS, PERF_SMOKE_MIN_SPEEDUP (default
+# Knobs (defaults chosen for CI): RTAD_BENCH_BENCHMARKS, RTAD_BENCH_MODELS,
+# RTAD_BENCH_ENGINES, RTAD_BENCH_ATTACKS, PERF_SMOKE_MIN_SPEEDUP (default
 # 2.0), PERF_SMOKE_MIN_BACKEND_SPEEDUP (default 10.0),
 # PERF_SMOKE_BACKEND_PROBE (default 300 probe inferences).
 #
@@ -47,11 +47,11 @@ MIN_SPEEDUP="${PERF_SMOKE_MIN_SPEEDUP:-2.0}"
 MIN_BACKEND_SPEEDUP="${PERF_SMOKE_MIN_BACKEND_SPEEDUP:-10.0}"
 BACKEND_PROBE="${PERF_SMOKE_BACKEND_PROBE:-300}"
 
-export RTAD_FIG8_BENCHMARKS="${RTAD_FIG8_BENCHMARKS:-hmmer}"
-export RTAD_FIG8_MODELS="${RTAD_FIG8_MODELS:-lstm}"
-export RTAD_FIG8_ENGINES="${RTAD_FIG8_ENGINES:-miaow}"
-export RTAD_FIG8_ATTACKS="${RTAD_FIG8_ATTACKS:-8}"
-export RTAD_FIG8_FAST_TRAIN="${RTAD_FIG8_FAST_TRAIN:-1}"
+export RTAD_BENCH_BENCHMARKS="${RTAD_BENCH_BENCHMARKS:-hmmer}"
+export RTAD_BENCH_MODELS="${RTAD_BENCH_MODELS:-lstm}"
+export RTAD_BENCH_ENGINES="${RTAD_BENCH_ENGINES:-miaow}"
+export RTAD_BENCH_ATTACKS="${RTAD_BENCH_ATTACKS:-8}"
+export RTAD_BENCH_FAST_TRAIN="${RTAD_BENCH_FAST_TRAIN:-1}"
 export RTAD_JOBS=1
 
 workdir="$(mktemp -d)"
@@ -63,7 +63,7 @@ run_mode() {
   local start end
   start=$(date +%s%N)
   RTAD_SCHED="${sched}" RTAD_BACKEND="${backend}" \
-    RTAD_FIG8_BACKEND_PROBE="${probe}" \
+    RTAD_BENCH_BACKEND_PROBE="${probe}" \
     RTAD_METRICS="${workdir}/metrics-${tag}.json" \
     "${BENCH}" > "${workdir}/${tag}.txt" 2> "${workdir}/${tag}.err"
   end=$(date +%s%N)
@@ -74,7 +74,7 @@ matrix_ms() {
   sed -n 's/^fig8: matrix_wall_ms=\([0-9]*\)$/\1/p' "${workdir}/$1.err"
 }
 
-echo "perf_smoke: benchmarks=${RTAD_FIG8_BENCHMARKS} models=${RTAD_FIG8_MODELS} engines=${RTAD_FIG8_ENGINES} attacks=${RTAD_FIG8_ATTACKS} fast_train=${RTAD_FIG8_FAST_TRAIN}" >&2
+echo "perf_smoke: benchmarks=${RTAD_BENCH_BENCHMARKS} models=${RTAD_BENCH_MODELS} engines=${RTAD_BENCH_ENGINES} attacks=${RTAD_BENCH_ATTACKS} fast_train=${RTAD_BENCH_FAST_TRAIN}" >&2
 dense_ms=$(run_mode dense cycle dense)
 event_ms=$(run_mode event cycle event)
 fast_ms=$(run_mode event fast fast "${BACKEND_PROBE}")
@@ -166,11 +166,11 @@ fast_matrix_speedup=$(awk -v d="${dense_matrix_ms}" -v f="${fast_matrix_ms}" \
 cat > "${OUT_JSON}" <<JSON
 {
   "benchmark": "fig8_detection",
-  "benchmarks": "${RTAD_FIG8_BENCHMARKS}",
-  "models": "${RTAD_FIG8_MODELS}",
-  "engines": "${RTAD_FIG8_ENGINES}",
-  "attacks_per_cell": ${RTAD_FIG8_ATTACKS},
-  "fast_train": ${RTAD_FIG8_FAST_TRAIN},
+  "benchmarks": "${RTAD_BENCH_BENCHMARKS}",
+  "models": "${RTAD_BENCH_MODELS}",
+  "engines": "${RTAD_BENCH_ENGINES}",
+  "attacks_per_cell": ${RTAD_BENCH_ATTACKS},
+  "fast_train": ${RTAD_BENCH_FAST_TRAIN},
   "backend": "fast",
   "dense_wall_ms": ${dense_ms},
   "event_wall_ms": ${event_ms},
