@@ -24,7 +24,7 @@
 //      the JSON body; wall-clock (including the retrain wall time) goes to
 //      stderr and the trailing "host" object only.
 //
-// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// Knobs (README "Knobs"): RTAD_BENCH_BENCHMARKS (one; default
 // astar); RTAD_BENCH_ATTACKS per session (default 4); RTAD_BENCH_SESSIONS
 // for the serve stage (default 8); RTAD_BENCH_JSON (default
 // BENCH_ensemble.json); RTAD_BENCH_FAST_TRAIN; plus RTAD_SCHED /

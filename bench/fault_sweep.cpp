@@ -14,7 +14,7 @@
 // plus, for r>0, a 20k-cycle watchdog and the IGM drop-and-resync overflow
 // policy so every recovery path is exercised.
 //
-// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// Knobs (README "Knobs"): RTAD_BENCH_BENCHMARKS (one; default
 // astar); RTAD_BENCH_MODELS / RTAD_BENCH_ENGINES (defaults lstm /
 // ml-miaow); RTAD_BENCH_ATTACKS per cell (default 4); RTAD_BENCH_RATES
 // in [0, 0.1] (sorted+deduped; default "0,0.0002,0.001,0.005,0.02");

@@ -10,7 +10,7 @@
 // aggregated in submission order, so stdout is byte-identical for any
 // RTAD_JOBS value. Per-cell wall-clock/simulated-time costs go to stderr.
 //
-// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS restricts the suite
+// Knobs (README "Knobs"): RTAD_BENCH_BENCHMARKS restricts the suite
 // (default: all twelve); RTAD_BENCH_MODELS / RTAD_BENCH_ENGINES restrict
 // the matrix columns (the summary lines adapt: engine-speedup ratios need
 // both engines, the overall line needs the full matrix);

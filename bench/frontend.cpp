@@ -9,6 +9,8 @@
 #include <utility>
 
 #include "rtad/core/env.hpp"
+#include "rtad/fault/fault_plan.hpp"
+#include "rtad/serve/service.hpp"
 #include "rtad/workloads/spec_model.hpp"
 
 extern char** environ;
@@ -17,17 +19,17 @@ namespace rtad::bench {
 
 namespace {
 
-/// Refuses the first RTAD_BENCH_* variable outside kVocabulary that is set
+/// Refuses the first RTAD_* variable outside kVocabulary that is set
 /// non-empty (empty means unset).
 void check_vocabulary() {
   for (char** entry = environ; *entry != nullptr; ++entry) {
     const std::string_view var(*entry);
     const std::string_view name = var.substr(0, var.find('='));
-    if (name.starts_with("RTAD_BENCH_") && name.size() + 1 < var.size() &&
+    if (name.starts_with("RTAD_") && name.size() + 1 < var.size() &&
         std::find(kVocabulary.begin(), kVocabulary.end(), name) ==
             kVocabulary.end()) {
       throw std::invalid_argument(
-          std::string(name) + ": not a bench knob (README \"Bench knobs\")");
+          std::string(name) + ": not an RTAD_* knob (README \"Knobs\")");
     }
   }
 }
@@ -68,6 +70,20 @@ int run(const char* tag, int (*body)()) {
     std::cerr << tag << ": " << e.what() << "\n";
     return 2;
   }
+}
+
+serve::ServiceConfig service_config(serve::ServiceConfig cfg) {
+  cfg.shards = core::env::positive_or(knob("RTAD_SERVE_SHARDS"), cfg.shards);
+  const std::string policy =
+      core::env::choice_or(knob("RTAD_SERVE_POLICY"), {"shed", "degrade"},
+                           serve::overload_policy_name(cfg.policy));
+  cfg.policy = policy == "shed" ? serve::OverloadPolicy::kShed
+                                : serve::OverloadPolicy::kDegrade;
+  if (const auto& plan = fault::default_plan()) {
+    cfg.serve_faults = plan->serve;
+    cfg.fault_seed = plan->seed;
+  }
+  return cfg;
 }
 
 std::vector<std::string> benchmarks(std::vector<std::string> fallback) {

@@ -1,15 +1,17 @@
-// Bench front-end: the one RTAD_BENCH_* knob vocabulary shared by the
-// env-driven benches (fig8_detection, fault_sweep, serve_throughput,
-// serve_failover, ensemble_drift, telemetry_query).
+// Bench front-end: the one RTAD_* knob vocabulary of the env-driven benches
+// (fig8_detection, fault_sweep, serve_throughput, serve_failover,
+// ensemble_drift, telemetry_query).
 //
 // Every knob parses through core::env's strict grammar (empty means unset,
 // the whole value must be consumed, errors name the variable), and run()
-// refuses an RTAD_BENCH_* name outside the vocabulary, so a typo fails the
-// run instead of silently falling back to a default. Each bench keeps its
-// own defaults; a bench ignores vocabulary names it does not read.
+// refuses any RTAD_* name outside the vocabulary, so a typo or a retired
+// knob fails the run instead of silently falling back to a default. Each
+// bench keeps its own defaults; a bench ignores vocabulary names it does
+// not read.
 //
-// Program knobs read under src/ (RTAD_JOBS, RTAD_SCHED, RTAD_SERVE_SHARDS,
-// RTAD_TRACE_PROTO, ...) are not part of this vocabulary.
+// The vocabulary holds the bench knobs (RTAD_BENCH_*), the serve-fleet
+// knobs read here (service_config()), and the process axes that the
+// library itself reads under src/ (RTAD_JOBS, RTAD_SCHED, ...).
 #pragma once
 
 #include <array>
@@ -21,11 +23,16 @@
 #include "rtad/core/config.hpp"
 #include "rtad/core/experiment.hpp"
 
+namespace rtad::serve {
+struct ServiceConfig;
+}
+
 namespace rtad::bench {
 
-/// Every RTAD_BENCH_* name a bench may read. README's "Bench knobs" table
-/// lists which bench reads each and its defaults.
-inline constexpr std::array<std::string_view, 16> kVocabulary{
+/// Every RTAD_* name a bench run may set. README's "Knobs" table lists who
+/// reads each, its default and its grammar; tools/knob_vocabulary.sh keeps
+/// this list, the table and the names in src/ and bench/ in step.
+inline constexpr std::array<std::string_view, 25> kVocabulary{
     "RTAD_BENCH_BENCHMARKS",     // workload list ("gcc,mcf")
     "RTAD_BENCH_MODELS",         // "elm,lstm"
     "RTAD_BENCH_ENGINES",        // "miaow,ml-miaow"
@@ -42,6 +49,17 @@ inline constexpr std::array<std::string_view, 16> kVocabulary{
     "RTAD_BENCH_SAMPLES",        // telemetry samples per tenant
     "RTAD_BENCH_QUERIES",        // telemetry ranked-query repetitions
     "RTAD_BENCH_BACKEND_PROBE",  // fig8 offline backend probe inferences
+    // Serve fleet, read by service_config().
+    "RTAD_SERVE_SHARDS",  // fleet width
+    "RTAD_SERVE_POLICY",  // overload policy: shed | degrade
+    // Process axes, read by the library under src/.
+    "RTAD_JOBS",         // worker threads
+    "RTAD_SCHED",        // simulation kernel: dense | event
+    "RTAD_BACKEND",      // GPU backend: cycle | fast
+    "RTAD_TRACE_PROTO",  // trace protocol: pft | etrace
+    "RTAD_TRACE",        // Chrome-trace export path
+    "RTAD_METRICS",      // rtad.metrics.v2 export path
+    "RTAD_FAULTS",       // fault plan (key=value list)
 };
 
 /// `name`, checked at compile time against kVocabulary — a bench cannot
@@ -50,14 +68,18 @@ consteval const char* knob(const char* name) {
   for (const std::string_view v : kVocabulary) {
     if (v == name) return name;
   }
-  throw "not an RTAD_BENCH_* vocabulary name";
+  throw "not an RTAD_* vocabulary name";
 }
 
-/// Runs a bench body behind the knob guard. An RTAD_BENCH_* name outside
+/// Runs a bench body behind the knob guard. An RTAD_* name outside
 /// kVocabulary, or a malformed knob (std::invalid_argument, which names
 /// the variable), ends the run with "<tag>: <message>" on stderr and exit
 /// status 2.
 int run(const char* tag, int (*body)());
+
+/// `defaults` with the fleet knobs applied: RTAD_SERVE_SHARDS,
+/// RTAD_SERVE_POLICY and the serve.* keys and seed of the RTAD_FAULTS plan.
+serve::ServiceConfig service_config(serve::ServiceConfig defaults);
 
 /// RTAD_BENCH_BENCHMARKS resolved to catalog names (short forms accepted).
 std::vector<std::string> benchmarks(std::vector<std::string> fallback);

@@ -17,14 +17,14 @@
 // a sweep whose sessions all fit in shards x (queue + lanes) can never shed,
 // so the bench refuses it up front (exit 2, "fleet-overload-cannot-shed").
 //
-// Knobs (README "Bench knobs"): RTAD_BENCH_BENCHMARKS (one; default
+// Knobs (README "Knobs"): RTAD_BENCH_BENCHMARKS (one; default
 // astar); RTAD_BENCH_SESSIONS (default 32); RTAD_BENCH_TENANTS (default
 // 12); RTAD_BENCH_ATTACKS per episode (default 1); RTAD_BENCH_LOADS in
 // [0.01, 16] (sorted+deduped; default "0.5,1.5,6"); RTAD_BENCH_SEED
 // (default 2026); RTAD_BENCH_JSON (default BENCH_serve.json);
-// RTAD_BENCH_FAST_TRAIN. Plus the fleet-shape knobs parsed by
-// ServiceConfig::from_env (RTAD_SERVE_SHARDS / LANES / QUEUE / POLICY /
-// QUANTUM_US) and RTAD_JOBS / RTAD_SCHED as everywhere. stdout and
+// RTAD_BENCH_FAST_TRAIN. Plus the fleet knobs of bench::service_config
+// (RTAD_SERVE_SHARDS / POLICY, the RTAD_FAULTS serve.* keys) and
+// RTAD_JOBS / RTAD_SCHED as everywhere. stdout and
 // BENCH_serve.json are byte-identical across both schedulers and any
 // worker count; wall-clock diagnostics go to stderr.
 #include <algorithm>
@@ -78,12 +78,12 @@ int run_serve() {
   const std::string json_path = core::env::string_or(
       bench::knob("RTAD_BENCH_JSON"), "BENCH_serve.json");
 
-  std::cout << "SERVE THROUGHPUT: MULTI-TENANT FLEET UNDER OPEN-LOOP LOAD\n\n";
-
-  serve::ServiceConfig scfg = serve::ServiceConfig::from_env();
+  serve::ServiceConfig scfg = bench::service_config({});
   scfg.detection.attacks = attacks;
   scfg.detection.trace_path.clear();
   scfg.detection.metrics_path.clear();
+
+  std::cout << "SERVE THROUGHPUT: MULTI-TENANT FLEET UNDER OPEN-LOOP LOAD\n\n";
 
   // The deep-overload gate needs a shed, and the shed policy only sheds
   // once the queues and lanes are full: refuse a sweep that cannot get there.

@@ -21,13 +21,12 @@
 // coverage conserves every ingested sample; every hot tenant outranks every
 // warm tenant; repeated queries are byte-identical.
 //
-// Knobs (README "Bench knobs"): RTAD_BENCH_TENANTS (default 100000);
+// Knobs (README "Knobs"): RTAD_BENCH_TENANTS (default 100000);
 // RTAD_BENCH_SAMPLES per tenant (default 24); RTAD_BENCH_QUERIES
 // ranked-query repetitions for the latency distribution (default 32);
 // RTAD_BENCH_SEED (default 2026); RTAD_BENCH_JSON (default
-// BENCH_telemetry.json); plus the store shape via RTAD_TELEMETRY /
-// RTAD_TELEMETRY_CAP_KB / RTAD_TELEMETRY_PAGE (bench defaults: no spill,
-// 32 MiB cap, 8-sample pages).
+// BENCH_telemetry.json). The store shape is fixed: 8-sample pages under a
+// 32 MiB cap, evicted pages dropped (no spill file).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -54,6 +53,10 @@ namespace {
 constexpr std::size_t kHotTenants = 4;
 constexpr std::size_t kWarmTenants = 4;
 constexpr sim::Picoseconds kTickPs = 50 * sim::kPsPerUs;
+/// Store shape: small pages so pages actually seal, and a cap the 10^5
+/// streams exceed so it actually evicts.
+constexpr std::size_t kPageSamples = 8;
+constexpr std::uint64_t kCapBytes = 32ull * 1024 * 1024;
 
 std::string tenant_name(std::size_t t) {
   if (t < kHotTenants) return "hot-" + std::to_string(t);
@@ -146,23 +149,15 @@ int run_telemetry() {
     return 2;
   }
 
-  telemetry::StoreConfig store_cfg = telemetry::StoreConfig::from_env();
-  // Bench defaults tuned so pages actually seal and the cap actually
-  // evicts; explicit env settings win.
-  if (!core::env::raw("RTAD_TELEMETRY_PAGE")) store_cfg.page_samples = 8;
-  if (!core::env::raw("RTAD_TELEMETRY_CAP_KB")) {
-    store_cfg.cap_bytes = 32ull * 1024 * 1024;
-  }
+  telemetry::StoreConfig store_cfg;
+  store_cfg.page_samples = kPageSamples;
+  store_cfg.cap_bytes = kCapBytes;
 
   std::cout << "TELEMETRY RING STORE + RANKED ANOMALY QUERY ENGINE\n\n";
   std::cout << "Streams: " << tenants << " tenants x " << samples
             << " samples (" << tenants * samples << " total), page "
             << store_cfg.page_samples << ", cap "
-            << store_cfg.cap_bytes / 1024 << " KiB"
-            << (store_cfg.spill_path.empty()
-                    ? std::string(", no spill")
-                    : ", spill " + store_cfg.spill_path)
-            << "\n";
+            << store_cfg.cap_bytes / 1024 << " KiB, no spill\n";
   std::cout << "Planted: " << kHotTenants << " hot (late-burst) vs "
             << kWarmTenants << " warm (early-burst), background flag rate "
                "0.1%\n\n";

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,22 +12,22 @@ namespace rtad::core::env {
 
 namespace {
 
-[[noreturn]] void reject(const char* name, const std::string& value,
+[[noreturn]] void reject(const std::string& name, const std::string& value,
                          const std::string& expected) {
-  throw std::invalid_argument(std::string(name) + ": expected " + expected +
-                              " (got '" + value + "')");
+  throw std::invalid_argument(name + ": expected " + expected + " (got '" +
+                              value + "')");
 }
 
-/// strtoll/strtod silently skip leading whitespace; the knob grammar does
+/// strtoull/strtod silently skip leading whitespace; the knob grammar does
 /// not — " 4" is as much a typo as "4 ".
 bool leading_space(const std::string& v) {
   return !v.empty() && std::isspace(static_cast<unsigned char>(v[0])) != 0;
 }
 
-/// One number under the knob grammar; `text` is the whole value or one
-/// list item. NaN fails the range test.
-double parse_number(const char* name, const std::string& text, double lo,
-                    double hi) {
+}  // namespace
+
+double parse_number(const std::string& name, const std::string& text,
+                    double lo, double hi) {
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(text.c_str(), &end);
@@ -39,7 +40,22 @@ double parse_number(const char* name, const std::string& text, double lo,
   return parsed;
 }
 
-}  // namespace
+std::uint64_t parse_integer(const std::string& name, const std::string& text,
+                            std::uint64_t lo, std::uint64_t hi) {
+  errno = 0;
+  char* end = nullptr;
+  // strtoull negates a leading '-' instead of refusing it.
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  if (leading_space(text) || text[0] == '-' || errno != 0 ||
+      end == text.c_str() || *end != '\0' || parsed < lo || parsed > hi) {
+    reject(name, text,
+           hi == std::numeric_limits<std::uint64_t>::max()
+               ? "an integer >= " + std::to_string(lo)
+               : "an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  }
+  return parsed;
+}
 
 std::optional<std::string> raw(const char* name) {
   const char* v = std::getenv(name);
@@ -54,28 +70,16 @@ std::string string_or(const char* name, std::string fallback) {
 
 std::size_t positive_or(const char* name, std::size_t fallback) {
   const auto v = raw(name);
-  if (!v) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (leading_space(*v) || errno != 0 || end == v->c_str() || *end != '\0' ||
-      parsed <= 0) {
-    reject(name, *v, "a positive integer");
-  }
-  return static_cast<std::size_t>(parsed);
+  return v ? parse_integer(name, *v, 1,
+                           std::numeric_limits<std::size_t>::max())
+           : fallback;
 }
 
 std::uint64_t u64_or(const char* name, std::uint64_t fallback) {
   const auto v = raw(name);
-  if (!v) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  if (leading_space(*v) || errno != 0 || end == v->c_str() || *end != '\0' ||
-      (*v)[0] == '-') {
-    reject(name, *v, "a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(parsed);
+  return v ? parse_integer(name, *v, 0,
+                           std::numeric_limits<std::uint64_t>::max())
+           : fallback;
 }
 
 double number_or(const char* name, double fallback, double lo, double hi) {

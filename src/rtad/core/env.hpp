@@ -1,13 +1,14 @@
 // Consolidated RTAD_* environment-knob parsing.
 //
-// Every process-level knob (RTAD_SCHED, RTAD_JOBS, RTAD_FAULTS, RTAD_TRACE,
-// RTAD_METRICS, RTAD_SERVE_*) resolves through this helper so a malformed
-// value is rejected loudly — std::invalid_argument naming the variable, the
-// offending text, and the accepted grammar — instead of silently decaying to
-// a default. A typo like RTAD_JOBS=fulL used to mean "hardware_concurrency"
-// and RTAD_SCHED=evnet used to mean "event", the worst failure modes for a
-// determinism-sensitive tool: the run completes, just not the run you asked
-// for.
+// Every knob (the process axes RTAD_JOBS, RTAD_SCHED, RTAD_BACKEND,
+// RTAD_TRACE_PROTO, RTAD_TRACE, RTAD_METRICS and RTAD_FAULTS read under
+// src/, and the bench front-end's vocabulary in bench/frontend.hpp)
+// resolves through this helper so a malformed value is rejected loudly —
+// std::invalid_argument naming the variable, the offending text, and the
+// accepted grammar — instead of silently decaying to a default. A typo like
+// RTAD_JOBS=fulL used to mean "hardware_concurrency" and RTAD_SCHED=evnet
+// used to mean "event", the worst failure modes for a determinism-sensitive
+// tool: the run completes, just not the run you asked for.
 //
 // Two conventions shared by every knob:
 //   * The empty string counts as unset (`VAR= cmd` clears a knob without
@@ -30,6 +31,18 @@ namespace rtad::core::env {
 
 /// Raw value of `name`; nullopt when unset or set to the empty string.
 std::optional<std::string> raw(const char* name);
+
+/// One number under the knob grammar, constrained to [lo, hi] (NaN fails
+/// the range test). `text` is a whole value or one item of a compound knob
+/// (a list item, an RTAD_FAULTS field); errors name `name`.
+double parse_number(const std::string& name, const std::string& text,
+                    double lo, double hi);
+
+/// One unsigned integer under the knob grammar, constrained to [lo, hi]:
+/// no minus sign, no leading space, no trailing garbage. Errors name
+/// `name`.
+std::uint64_t parse_integer(const std::string& name, const std::string& text,
+                            std::uint64_t lo, std::uint64_t hi);
 
 /// Free-form string knob (paths); no validation beyond the
 /// empty-means-unset rule.

@@ -1,28 +1,6 @@
 #include "rtad/ensemble/ensemble_manager.hpp"
 
-#include <stdexcept>
-
-#include "rtad/core/env.hpp"
-#include "rtad/sim/time.hpp"
-
 namespace rtad::ensemble {
-
-core::EnsembleParams params_from_env() {
-  core::EnsembleParams p;
-  p.size = static_cast<std::uint32_t>(
-      core::env::positive_or("RTAD_ENSEMBLE_SIZE", 1));
-  p.quorum = static_cast<std::uint32_t>(
-      core::env::u64_or("RTAD_ENSEMBLE_QUORUM", 0));
-  p.retrain_ps =
-      core::env::u64_or("RTAD_ENSEMBLE_RETRAIN_US", 0) * sim::kPsPerUs;
-  p.window_ps = core::env::u64_or("RTAD_ENSEMBLE_WINDOW", 0) * sim::kPsPerUs;
-  if (p.quorum > p.size) {
-    throw std::invalid_argument(
-        "RTAD_ENSEMBLE_QUORUM (" + std::to_string(p.quorum) +
-        ") exceeds RTAD_ENSEMBLE_SIZE (" + std::to_string(p.size) + ")");
-  }
-  return p;
-}
 
 EnsembleManager::EnsembleManager(
     std::shared_ptr<core::TrainedModelCache> base, core::EnsembleParams params,

@@ -18,13 +18,8 @@
 //     (generations trained, work units) are read race-free and stay
 //     byte-identical across worker counts.
 //
-// Knobs (strict core::env grammar — malformed values throw):
-//   RTAD_ENSEMBLE_SIZE        member generations kept live        (1)
-//   RTAD_ENSEMBLE_QUORUM      members that must flag; 0 = all     (0)
-//   RTAD_ENSEMBLE_RETRAIN_US  generation cadence, simulated us; 0
-//                             disables the ensemble layer entirely (0)
-//   RTAD_ENSEMBLE_WINDOW      training window, simulated us; 0 =
-//                             the retrain cadence                  (0)
+// core::EnsembleParams is set as a struct (tests, the serve fleet's
+// ServiceConfig::ensemble, bench/ensemble_drift); no knob reads it.
 #pragma once
 
 #include <future>
@@ -39,10 +34,6 @@
 #include "rtad/sim/thread_pool.hpp"
 
 namespace rtad::ensemble {
-
-/// Resolve the RTAD_ENSEMBLE_* knobs. Throws std::invalid_argument on
-/// malformed values or a quorum larger than the ensemble size.
-core::EnsembleParams params_from_env();
 
 class EnsembleManager {
  public:

@@ -1,5 +1,6 @@
 #include "rtad/fault/fault_plan.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -32,35 +33,21 @@ bool FaultPlan::any() const noexcept {
 
 namespace {
 
-double parse_rate(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double r = 0.0;
-  try {
-    r = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || r < 0.0 || r > 1.0) {
-    throw std::invalid_argument("RTAD_FAULTS: rate '" + key +
-                                "' must be in [0,1], got '" + value + "'");
-  }
-  return r;
+// Numeric fields parse under core::env's number grammar; errors name the
+// key ("RTAD_FAULTS trace.drop: expected ...").
+double rate_field(const std::string& key, const std::string& value) {
+  return core::env::parse_number("RTAD_FAULTS " + key, value, 0.0, 1.0);
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size()) {
-    throw std::invalid_argument("RTAD_FAULTS: '" + key +
-                                "' needs an unsigned integer, got '" + value +
-                                "'");
-  }
-  return v;
+std::uint64_t u64_field(const std::string& key, const std::string& value) {
+  return core::env::parse_integer("RTAD_FAULTS " + key, value, 0,
+                                  std::numeric_limits<std::uint64_t>::max());
+}
+
+std::uint32_t u32_field(const std::string& key, const std::string& value) {
+  return static_cast<std::uint32_t>(core::env::parse_integer(
+      "RTAD_FAULTS " + key, value, 0,
+      std::numeric_limits<std::uint32_t>::max()));
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
@@ -99,41 +86,41 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
     const std::string value(item.substr(eq + 1));
 
     if (const auto site = site_for_key(key)) {
-      plan.set_rate(*site, parse_rate(key, value));
+      plan.set_rate(*site, rate_field(key, value));
     } else if (key == "trace.truncate_bytes") {
-      plan.truncate_bytes = static_cast<std::uint32_t>(parse_u64(key, value));
+      plan.truncate_bytes = u32_field(key, value);
     } else if (key == "mcm.stall_cycles") {
-      plan.stall_cycles = static_cast<std::uint32_t>(parse_u64(key, value));
+      plan.stall_cycles = u32_field(key, value);
     } else if (key == "mcm.watchdog") {
-      plan.watchdog_cycles = parse_u64(key, value);
+      plan.watchdog_cycles = u64_field(key, value);
     } else if (key == "bus.delay_cycles") {
-      plan.bus_delay_cycles = static_cast<std::uint32_t>(parse_u64(key, value));
+      plan.bus_delay_cycles = u32_field(key, value);
     } else if (key == "fifo.squeeze") {
-      plan.fifo_squeeze = static_cast<std::size_t>(parse_u64(key, value));
+      plan.fifo_squeeze = u64_field(key, value);
     } else if (key == "igm.drop_resync") {
       plan.igm_drop_resync = parse_bool(key, value);
     } else if (key == "mcm.drop_oldest") {
       plan.mcm_drop_oldest = parse_bool(key, value);
     } else if (key == "seed") {
-      plan.seed = parse_u64(key, value);
+      plan.seed = u64_field(key, value);
     } else if (key == "serve.shard_crash") {
-      plan.serve.shard_crash = parse_rate(key, value);
+      plan.serve.shard_crash = rate_field(key, value);
     } else if (key == "serve.lane_wedge") {
-      plan.serve.lane_wedge = parse_rate(key, value);
+      plan.serve.lane_wedge = rate_field(key, value);
     } else if (key == "serve.brownout") {
-      plan.serve.brownout = parse_rate(key, value);
+      plan.serve.brownout = rate_field(key, value);
     } else if (key == "serve.crash_epoch_us") {
-      plan.serve.crash_epoch_us = parse_u64(key, value);
+      plan.serve.crash_epoch_us = u64_field(key, value);
     } else if (key == "serve.crash_downtime_us") {
-      plan.serve.crash_downtime_us = parse_u64(key, value);
+      plan.serve.crash_downtime_us = u64_field(key, value);
     } else if (key == "serve.wedge_us") {
-      plan.serve.wedge_us = parse_u64(key, value);
+      plan.serve.wedge_us = u64_field(key, value);
     } else if (key == "serve.brownout_us") {
-      plan.serve.brownout_us = parse_u64(key, value);
+      plan.serve.brownout_us = u64_field(key, value);
     } else if (key == "serve.horizon_us") {
-      plan.serve.horizon_us = parse_u64(key, value);
+      plan.serve.horizon_us = u64_field(key, value);
     } else if (key == "serve.max_events") {
-      plan.serve.max_events = static_cast<std::uint32_t>(parse_u64(key, value));
+      plan.serve.max_events = u32_field(key, value);
     } else {
       throw std::invalid_argument("RTAD_FAULTS: unknown key '" + key + "'");
     }

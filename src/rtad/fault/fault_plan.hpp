@@ -120,8 +120,10 @@ struct FaultPlan {
   /// the SoC, so a serve-only plan keeps every session byte-identical.
   bool any() const noexcept;
 
-  /// Parse a comma-separated key=value spec (the RTAD_FAULTS grammar).
-  /// Throws std::invalid_argument on unknown keys or malformed values.
+  /// Parse a comma-separated key=value spec (the RTAD_FAULTS grammar);
+  /// numbers follow core::env's grammar, and 32-bit fields refuse values
+  /// that do not fit. Throws std::invalid_argument on unknown keys or
+  /// malformed values.
   static FaultPlan parse(std::string_view spec);
 };
 

@@ -5,12 +5,18 @@
 #include <ostream>
 #include <utility>
 
-#include "rtad/core/env.hpp"
 #include "rtad/fault/fault_plan.hpp"
 #include "rtad/obs/json.hpp"
 #include "rtad/telemetry/query.hpp"
 
 namespace rtad::serve {
+
+namespace {
+
+/// Simulated cost of moving one parked blob between shards.
+constexpr sim::Picoseconds kMigratePs = 200 * sim::kPsPerUs;
+
+}  // namespace
 
 const char* fleet_protocol_name(FleetProtocol proto) noexcept {
   switch (proto) {
@@ -22,50 +28,6 @@ const char* fleet_protocol_name(FleetProtocol proto) noexcept {
       return "mixed";
   }
   return "pft";
-}
-
-ServiceConfig ServiceConfig::from_env() {
-  ServiceConfig cfg;
-  cfg.shards = core::env::positive_or("RTAD_SERVE_SHARDS", cfg.shards);
-  cfg.lanes = core::env::positive_or("RTAD_SERVE_LANES", cfg.lanes);
-  cfg.queue_capacity =
-      core::env::positive_or("RTAD_SERVE_QUEUE", cfg.queue_capacity);
-  cfg.policy = core::env::choice_or("RTAD_SERVE_POLICY", {"shed", "degrade"},
-                                    "shed") == "shed"
-                   ? OverloadPolicy::kShed
-                   : OverloadPolicy::kDegrade;
-  cfg.quantum_ps =
-      core::env::positive_or("RTAD_SERVE_QUANTUM_US", 2'000) * sim::kPsPerUs;
-  cfg.retry_budget = static_cast<std::size_t>(
-      core::env::u64_or("RTAD_SERVE_RETRY", cfg.retry_budget));
-  cfg.retry_base_us =
-      core::env::positive_or("RTAD_SERVE_RETRY_BASE_US", cfg.retry_base_us);
-  cfg.checkpoint_every = core::env::positive_or("RTAD_SERVE_CHECKPOINT_EVERY",
-                                                cfg.checkpoint_every);
-  cfg.checkpoint_cap_kb =
-      core::env::u64_or("RTAD_SERVE_CHECKPOINT_CAP_KB", cfg.checkpoint_cap_kb);
-  cfg.rebalance_gap_ps =
-      core::env::positive_or("RTAD_SERVE_REBALANCE_GAP_US", 40'000) *
-      sim::kPsPerUs;
-  cfg.migrate_ps =
-      core::env::positive_or("RTAD_SERVE_MIGRATE_US", 200) * sim::kPsPerUs;
-  if (const auto& plan = fault::default_plan()) {
-    cfg.serve_faults = plan->serve;
-    cfg.fault_seed = plan->seed;
-  }
-  cfg.telemetry = telemetry::StoreConfig::from_env();
-  cfg.ensemble = ensemble::params_from_env();
-  const std::string proto = core::env::choice_or(
-      "RTAD_SERVE_PROTO", {"pft", "etrace", "mixed"},
-      fleet_protocol_name(cfg.proto));
-  if (proto == "pft") {
-    cfg.proto = FleetProtocol::kPft;
-  } else if (proto == "etrace") {
-    cfg.proto = FleetProtocol::kEtrace;
-  } else {
-    cfg.proto = FleetProtocol::kMixed;
-  }
-  return cfg;
 }
 
 std::size_t failover_target(std::size_t from_shard,
@@ -146,14 +108,12 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
   scfg.admission.queue_capacity = cfg_.queue_capacity;
   scfg.admission.policy = cfg_.policy;
   scfg.admission.retry_budget = cfg_.retry_budget;
-  scfg.admission.retry_base_us = cfg_.retry_base_us;
   scfg.admission.retry_seed = cfg_.fault_seed;
   scfg.quantum_ps = cfg_.quantum_ps;
   scfg.detection = cfg_.detection;
   scfg.serve_faults = cfg_.serve_faults;
   scfg.fault_seed = cfg_.fault_seed;
   scfg.checkpoint_every = cfg_.checkpoint_every;
-  scfg.checkpoint_cap_bytes = cfg_.checkpoint_cap_kb * 1024;
   scfg.ensemble = cfg_.ensemble;
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(cfg_.shards);
@@ -222,14 +182,14 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
       const sim::Picoseconds reoffer_ps =
           item.orphaned_ps + retry_backoff_ps(cfg_.fault_seed, req.ticket,
                                               req.attempts,
-                                              cfg_.retry_base_us);
+                                              scfg.admission.retry_base_us);
       bool migrated = false;
       const std::size_t target =
           failover_target(item.from_shard, reoffer_ps, heat,
                           cfg_.rebalance_gap_ps, &migrated);
       sim::Picoseconds migrate_cost = 0;
       if (migrated) {
-        migrate_cost = cfg_.migrate_ps;
+        migrate_cost = kMigratePs;
         ++rep.migrations;
       }
       req.arrival_ps = reoffer_ps + migrate_cost;
@@ -309,7 +269,7 @@ ServiceReport Service::run(std::vector<SessionRequest> requests) {
                            a.sample.at_ps == b.sample.at_ps;
                   }),
       records.end());
-  rep.telemetry = std::make_shared<telemetry::TelemetryStore>(cfg_.telemetry);
+  rep.telemetry = std::make_shared<telemetry::TelemetryStore>();
   for (const TelemetryRecord& rec : records) {
     rep.telemetry->append(rec.tenant, rec.sample);
   }

@@ -20,32 +20,12 @@
 // function of the schedules, so the whole recovery story is byte-identical
 // across RTAD_JOBS and both scheduler kernels.
 //
-// Knobs (all parsed through core::env — malformed values throw):
-//   RTAD_SERVE_SHARDS      fleet width                     (default 2)
-//   RTAD_SERVE_LANES       SoC lanes per shard             (default 2)
-//   RTAD_SERVE_QUEUE       ingress queue capacity          (default 8)
-//   RTAD_SERVE_POLICY      overload policy: shed|degrade   (default shed)
-//   RTAD_SERVE_QUANTUM_US  advance() slice, simulated us   (default 2000)
-//   RTAD_SERVE_PROTO       fleet trace protocol: pft|etrace|mixed
-//                          (default: the process RTAD_TRACE_PROTO)
-//   RTAD_SERVE_RETRY            re-offer budget per refused request (0)
-//   RTAD_SERVE_RETRY_BASE_US    retry backoff base, simulated us  (500)
-//   RTAD_SERVE_CHECKPOINT_EVERY quanta between periodic blobs       (8)
-//   RTAD_SERVE_CHECKPOINT_CAP_KB  parked-blob byte cap, KiB; 0 = off (0)
-//   RTAD_SERVE_REBALANCE_GAP_US hot/cool horizon gap that triggers a
-//                               parked-session migration          (40000)
-//   RTAD_SERVE_MIGRATE_US       simulated cost of moving one blob   (200)
-//   RTAD_TELEMETRY              telemetry spill file (see telemetry/)
-//   RTAD_TELEMETRY_CAP_KB       telemetry resident byte cap, KiB  (0=off)
-//   RTAD_TELEMETRY_PAGE         tier-0 samples per telemetry page   (64)
-//   RTAD_TELEMETRY_HALF_LIFE_US ranking recency half-life, simulated us;
-//                               0 = (window span)/4 (telemetry/query.hpp)
-//   RTAD_ENSEMBLE_SIZE          rolling-ensemble members per tenant  (1)
-//   RTAD_ENSEMBLE_QUORUM        members that must flag; 0 = all      (0)
-//   RTAD_ENSEMBLE_RETRAIN_US    retrain cadence, simulated us; 0
-//                               disables the ensemble layer          (0)
-//   RTAD_ENSEMBLE_WINDOW        training window, simulated us;
-//                               0 = the retrain cadence              (0)
+// The serve layer parses no knob of its own: ServiceConfig is a plain
+// struct, whose detection options and fleet protocol default to the process
+// axes (RTAD_SCHED, RTAD_TRACE_PROTO, ...). The env-driven benches fill the
+// fleet shape through bench::service_config() (bench/frontend.hpp:
+// RTAD_SERVE_SHARDS / POLICY and the RTAD_FAULTS serve.* keys); tests and
+// perfbench/ set fields directly.
 #pragma once
 
 #include <cstddef>
@@ -92,33 +72,20 @@ struct ServiceConfig {
 
   // --- failure domain ---
   /// Fleet-level fault sites (inactive by default, so no session is ever
-  /// orphaned and run() finishes in one round). from_env() adopts the
-  /// serve.* keys of the process RTAD_FAULTS plan.
+  /// orphaned and run() finishes in one round).
   fault::ServeFaultPlan serve_faults{};
   std::uint64_t fault_seed = 0xFA017;  ///< per-(site, shard) stream base
   std::size_t retry_budget = 0;        ///< re-offers per refused request
-  std::uint64_t retry_base_us = 500;   ///< backoff base (simulated us)
   std::uint64_t checkpoint_every = 8;  ///< quanta between periodic blobs
-  std::uint64_t checkpoint_cap_kb = 0; ///< parked-byte cap per shard (KiB)
   /// Busy-horizon gap (hot shard vs coolest) above which a failover
   /// re-offer migrates to the coolest shard instead of its ring target.
   sim::Picoseconds rebalance_gap_ps = 40'000 * sim::kPsPerUs;
-  /// Simulated cost of moving one parked blob between shards.
-  sim::Picoseconds migrate_ps = 200 * sim::kPsPerUs;
 
-  /// Fleet telemetry store shape (page size, byte cap, spill path). The
-  /// store itself lives on the ServiceReport; ingestion is always on.
-  telemetry::StoreConfig telemetry{};
-
-  /// Rolling-ensemble shape applied to every tenant session. from_env()
-  /// resolves the RTAD_ENSEMBLE_* knobs; inactive by default.
+  /// Rolling-ensemble shape applied to every tenant session; inactive by
+  /// default.
   /// base_ps is ignored here: each shard stamps it per request with the
   /// origin arrival, anchoring the retrain cadence to the fleet clock.
   core::EnsembleParams ensemble{};
-
-  /// Resolve the RTAD_SERVE_* knobs (strict grammar; throws on malformed
-  /// values). Unset knobs keep the defaults above.
-  static ServiceConfig from_env();
 };
 
 /// One shard's load snapshot at the failover round barrier.

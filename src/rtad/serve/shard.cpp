@@ -30,8 +30,7 @@ Shard::Shard(std::size_t id, ShardConfig cfg,
       cfg_(std::move(cfg)),
       cache_(std::move(cache)),
       ensembles_(ensembles),
-      admission_(cfg_.admission),
-      store_(cfg_.checkpoint_cap_bytes) {
+      admission_(cfg_.admission) {
   if (cfg_.ensemble.active() && ensembles_ == nullptr) {
     throw std::invalid_argument(
         "Shard: active ensemble config requires an EnsembleManager");

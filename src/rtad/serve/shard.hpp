@@ -112,8 +112,6 @@ struct ShardConfig {
   /// Quanta between periodic checkpoints while a session is in flight
   /// under an active fault plan (a crash loses at most this much work).
   std::uint64_t checkpoint_every = 8;
-  /// CheckpointStore byte cap (0 = unbounded).
-  std::uint64_t checkpoint_cap_bytes = 0;
   /// Rolling-ensemble shape applied to every episode (base_ps is stamped
   /// per request with its origin arrival, so the retrain cadence rides the
   /// fleet clock and survives failover). Inactive by default.

@@ -7,8 +7,8 @@
 // window), and every `fanout` tier-1 bins fold into one tier-2 bin — the
 // netdata-dbengine tiering: raw points age out, summaries stay resident.
 //
-// Pages serialize to a self-delimiting byte format (the RTAD_TELEMETRY
-// spill file is a plain concatenation of pages):
+// Pages serialize to a self-delimiting byte format (a StoreConfig spill
+// file is a plain concatenation of pages):
 //
 //   magic "RTADTEL1" (8)        format + version in one token
 //   u8  tier                    0 = raw samples, 1/2 = summary bins

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "rtad/core/detection_session.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/session_checkpoint.hpp"
@@ -27,28 +28,7 @@
 namespace rtad::core {
 namespace {
 
-workloads::SpecProfile fast_profile(const std::string& name) {
-  auto p = workloads::find_profile(name);
-  p.syscall_interval_instrs = 40'000;  // keep sim time short
-  return p;
-}
-
-TrainingOptions fast_training() {
-  TrainingOptions opt;
-  opt.lstm_train_tokens = 2'500;
-  opt.lstm_val_tokens = 700;
-  opt.elm_train_windows = 250;
-  opt.elm_val_windows = 80;
-  opt.lstm.epochs = 2;
-  return opt;
-}
-
-std::shared_ptr<TrainedModelCache> shared_cache() {
-  static const auto cache = std::make_shared<TrainedModelCache>(
-      fast_training(),
-      [](const std::string& name) { return fast_profile(name); });
-  return cache;
-}
+using namespace fixtures;
 
 /// Every deterministic DetectionResult field (same exclusion of the
 /// sim.skipped* diagnostics the serve suite makes — chunk/replay

@@ -1,21 +1,18 @@
-// Rolling-ensemble suite (tier 2): knob grammar, generation cache
-// semantics, and the headline determinism contracts.
+// Rolling-ensemble suite (tier 2): generation cache semantics and the
+// headline determinism contracts.
 //
 // The contracts under test:
-//   1. RTAD_ENSEMBLE_* knobs follow the strict core::env grammar —
-//      malformed values and a quorum larger than the ensemble throw named
-//      errors, they never silently decay.
-//   2. Generation 0 *is* the anchor: the generation cache delegates to the
+//   1. Generation 0 *is* the anchor: the generation cache delegates to the
 //      base TrainedModelCache without retraining anything, and each later
 //      generation trains exactly once no matter how many sessions ask.
-//   3. Hot swaps land only at advance() boundaries and at the same
+//   2. Hot swaps land only at advance() boundaries and at the same
 //      simulated instants for every chunk size, scheduler kernel and GPU
 //      backend — the full DetectionResult (score digest, consensus
 //      counters, swap count) is identical across the matrix.
-//   4. A checkpoint taken between two swaps restores into a session that
+//   3. A checkpoint taken between two swaps restores into a session that
 //      finishes byte-identical to the uninterrupted run; restoring an
 //      active-ensemble blob without an EnsembleSource is a named error.
-//   5. The serve fleet's ensemble counters are worker-count invariant.
+//   4. The serve fleet's ensemble counters are worker-count invariant.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -101,61 +98,6 @@ void expect_identical(const core::DetectionResult& a,
   EXPECT_EQ(a.consensus_flags, b.consensus_flags);
   EXPECT_EQ(a.consensus_overrides, b.consensus_overrides);
   EXPECT_EQ(a.member_evals, b.member_evals);
-}
-
-class EnsembleEnv : public ::testing::Test {
- protected:
-  static constexpr const char* kVars[4] = {
-      "RTAD_ENSEMBLE_SIZE", "RTAD_ENSEMBLE_QUORUM",
-      "RTAD_ENSEMBLE_RETRAIN_US", "RTAD_ENSEMBLE_WINDOW"};
-  void SetUp() override { clear(); }
-  void TearDown() override { clear(); }
-  static void clear() {
-    for (const char* v : kVars) ASSERT_EQ(unsetenv(v), 0);
-  }
-  static void set(const char* var, const char* value) {
-    ASSERT_EQ(setenv(var, value, 1), 0);
-  }
-};
-
-TEST_F(EnsembleEnv, DefaultsAreInert) {
-  const core::EnsembleParams p = ensemble::params_from_env();
-  EXPECT_EQ(p.size, 1u);
-  EXPECT_EQ(p.quorum, 0u);
-  EXPECT_EQ(p.retrain_ps, 0u);
-  EXPECT_EQ(p.window_ps, 0u);
-  EXPECT_FALSE(p.active());
-}
-
-TEST_F(EnsembleEnv, ParsesEveryKnob) {
-  set("RTAD_ENSEMBLE_SIZE", "5");
-  set("RTAD_ENSEMBLE_QUORUM", "3");
-  set("RTAD_ENSEMBLE_RETRAIN_US", "25000");
-  set("RTAD_ENSEMBLE_WINDOW", "10000");
-  const core::EnsembleParams p = ensemble::params_from_env();
-  EXPECT_EQ(p.size, 5u);
-  EXPECT_EQ(p.quorum, 3u);
-  EXPECT_EQ(p.retrain_ps, sim::Picoseconds{25'000} * sim::kPsPerUs);
-  EXPECT_EQ(p.window_ps, sim::Picoseconds{10'000} * sim::kPsPerUs);
-  EXPECT_TRUE(p.active());
-}
-
-TEST_F(EnsembleEnv, MalformedAndInconsistentKnobsThrow) {
-  set("RTAD_ENSEMBLE_SIZE", "0");  // size is positive_or: zero is malformed
-  EXPECT_THROW(ensemble::params_from_env(), std::invalid_argument);
-  clear();
-  set("RTAD_ENSEMBLE_RETRAIN_US", "fast");
-  EXPECT_THROW(ensemble::params_from_env(), std::invalid_argument);
-  clear();
-  set("RTAD_ENSEMBLE_SIZE", "3");
-  set("RTAD_ENSEMBLE_QUORUM", "4");
-  try {
-    ensemble::params_from_env();
-    FAIL() << "quorum > size must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("RTAD_ENSEMBLE_QUORUM"),
-              std::string::npos);
-  }
 }
 
 TEST(EnsembleSchedule, MembershipIsAPureFunctionOfSimulatedTime) {

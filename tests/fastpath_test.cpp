@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/gpgpu/assembler.hpp"
 #include "rtad/gpgpu/gpu.hpp"
@@ -30,6 +31,8 @@
 
 namespace rtad {
 namespace {
+
+using namespace fixtures;
 
 using gpgpu::Gpu;
 using gpgpu::GpuBackend;
@@ -443,24 +446,6 @@ TEST(FastPathFallback, FallThroughEndRaisesCanonicalError) {
 // Full-pipeline differential: complete detection sessions across backend ×
 // scheduler, comparing every DetectionResult field and the byte-exact
 // rtad.metrics.v2 export.
-
-workloads::SpecProfile fast_profile(const std::string& name) {
-  auto p = workloads::find_profile(name);
-  p.syscall_interval_instrs = 40'000;  // keep sim time short
-  return p;
-}
-
-std::shared_ptr<core::TrainedModelCache> shared_cache() {
-  core::TrainingOptions opt;
-  opt.lstm_train_tokens = 2'500;
-  opt.lstm_val_tokens = 700;
-  opt.elm_train_windows = 250;
-  opt.elm_val_windows = 80;
-  opt.lstm.epochs = 2;
-  static const auto cache = std::make_shared<core::TrainedModelCache>(
-      opt, [](const std::string& name) { return fast_profile(name); });
-  return cache;
-}
 
 core::DetectionResult run_session(core::ModelKind model,
                                   core::EngineKind engine, GpuBackend backend,

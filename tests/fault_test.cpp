@@ -53,6 +53,13 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("trace.bit_flip"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("igm.drop_resync=maybe"),
                std::invalid_argument);
+  // core::env's number grammar: no NaN rate, no sign wrap, no silent
+  // truncation to a 32-bit field, no leading space.
+  for (const char* bad :
+       {"trace.drop=nan", "mcm.watchdog=-1", "trace.truncate_bytes=-1",
+        "serve.max_events=4294967296", "mcm.stall_cycles= 8"}) {
+    EXPECT_THROW(FaultPlan::parse(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(FaultPlan, ReadsEnvironment) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "json_keys.hpp"
 #include "rtad/core/experiment_runner.hpp"
 #include "rtad/core/metrics_export.hpp"
@@ -26,6 +27,8 @@
 
 namespace rtad {
 namespace {
+
+using namespace fixtures;
 
 // ---------------------------------------------------------------- TraceSink
 
@@ -212,29 +215,6 @@ TEST(MetricsExport, StableKeysAndSchedulerCountersExcluded) {
 }
 
 // ----------------------------------------------------- SoC-level integration
-
-workloads::SpecProfile fast_profile(const std::string& name) {
-  auto p = workloads::find_profile(name);
-  p.syscall_interval_instrs = 40'000;  // keep sim time short
-  return p;
-}
-
-core::TrainingOptions fast_training() {
-  core::TrainingOptions opt;
-  opt.lstm_train_tokens = 2'500;
-  opt.lstm_val_tokens = 700;
-  opt.elm_train_windows = 250;
-  opt.elm_val_windows = 80;
-  opt.lstm.epochs = 2;
-  return opt;
-}
-
-std::shared_ptr<core::TrainedModelCache> shared_cache() {
-  static const auto cache = std::make_shared<core::TrainedModelCache>(
-      fast_training(),
-      [](const std::string& name) { return fast_profile(name); });
-  return cache;
-}
 
 /// Options with the ambient RTAD_TRACE/RTAD_METRICS (if any) cleared, so the
 /// test controls exactly which runs export files.

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "json_keys.hpp"
 #include "rtad/serve/checkpoint_store.hpp"
 #include "rtad/serve/fault_domain.hpp"
@@ -26,28 +27,7 @@
 namespace rtad::serve {
 namespace {
 
-workloads::SpecProfile fast_profile(const std::string& name) {
-  auto p = workloads::find_profile(name);
-  p.syscall_interval_instrs = 40'000;  // keep sim time short
-  return p;
-}
-
-core::TrainingOptions fast_training() {
-  core::TrainingOptions opt;
-  opt.lstm_train_tokens = 2'500;
-  opt.lstm_val_tokens = 700;
-  opt.elm_train_windows = 250;
-  opt.elm_val_windows = 80;
-  opt.lstm.epochs = 2;
-  return opt;
-}
-
-std::shared_ptr<core::TrainedModelCache> shared_cache() {
-  static const auto cache = std::make_shared<core::TrainedModelCache>(
-      fast_training(),
-      [](const std::string& name) { return fast_profile(name); });
-  return cache;
-}
+using namespace fixtures;
 
 std::vector<SessionRequest> sample_requests(std::size_t n = 6) {
   std::vector<SessionRequest> reqs;

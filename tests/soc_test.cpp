@@ -2,6 +2,7 @@
 // experiment drivers used by the bench binaries.
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "rtad/core/experiment.hpp"
 #include "rtad/core/rtad_soc.hpp"
 #include "rtad/core/rule_based.hpp"
@@ -10,25 +11,11 @@
 namespace rtad::core {
 namespace {
 
-workloads::SpecProfile fast_profile() {
-  auto p = workloads::find_profile("astar");
-  p.syscall_interval_instrs = 40'000;  // keep sim time short
-  return p;
-}
-
-TrainingOptions fast_training() {
-  TrainingOptions opt;
-  opt.lstm_train_tokens = 2'500;
-  opt.lstm_val_tokens = 700;
-  opt.elm_train_windows = 250;
-  opt.elm_val_windows = 80;
-  opt.lstm.epochs = 2;
-  return opt;
-}
+using namespace fixtures;
 
 const TrainedModels& shared_models() {
-  static const TrainedModels models = train_models(fast_profile(),
-                                                   fast_training());
+  static const TrainedModels models =
+      train_models(fast_profile("astar"), fast_training());
   return models;
 }
 
@@ -49,7 +36,7 @@ TEST(Training, ProducesDeployableImages) {
 
 TEST(Soc, BuildsAndRunsWithoutModel) {
   SocConfig cfg;
-  cfg.profile = fast_profile();
+  cfg.profile = fast_profile("astar");
   cfg.mode = cpu::InstrumentationMode::kBaseline;
   RtadSoc soc(cfg, nullptr, nullptr);
   soc.run_for_instructions(50'000);
@@ -60,7 +47,7 @@ TEST(Soc, BuildsAndRunsWithoutModel) {
 TEST(Soc, TraceFlowsToInferences) {
   const auto& m = shared_models();
   SocConfig cfg;
-  cfg.profile = fast_profile();
+  cfg.profile = fast_profile("astar");
   cfg.model = ModelKind::kLstm;
   cfg.engine = EngineKind::kMlMiaow;
   cfg.seed = 77;
@@ -75,7 +62,7 @@ TEST(Soc, TraceFlowsToInferences) {
 TEST(Soc, DetectsInjectedAttackEndToEnd) {
   const auto& m = shared_models();
   SocConfig cfg;
-  cfg.profile = fast_profile();
+  cfg.profile = fast_profile("astar");
   cfg.model = ModelKind::kLstm;
   cfg.engine = EngineKind::kMlMiaow;
   cfg.seed = 78;
@@ -128,8 +115,8 @@ TEST(Experiment, SwTransferBreakdownNearPaper) {
 
 TEST(Experiment, RtadTransferMuchFasterThanSw) {
   const auto& m = shared_models();
-  const auto rtad = measure_rtad_transfer(fast_profile(), m, ModelKind::kLstm,
-                                          EngineKind::kMlMiaow, 10);
+  const auto rtad = measure_rtad_transfer(
+      fast_profile("astar"), m, ModelKind::kLstm, EngineKind::kMlMiaow, 10);
   const auto sw = sw_transfer_breakdown(32);
   EXPECT_GT(rtad.step1_us, 0.0);
   EXPECT_NEAR(rtad.step2_us, 0.016, 1e-6);  // 2 cycles @ 125 MHz
@@ -140,10 +127,12 @@ TEST(Experiment, DetectionFasterOnMlMiaow) {
   const auto& m = shared_models();
   DetectionOptions opt;
   opt.attacks = 3;
-  const auto fast = measure_detection(fast_profile(), m, ModelKind::kLstm,
-                                      EngineKind::kMlMiaow, opt);
-  const auto slow = measure_detection(fast_profile(), m, ModelKind::kLstm,
-                                      EngineKind::kMiaow, opt);
+  const auto fast = measure_detection(fast_profile("astar"), m,
+                                      ModelKind::kLstm, EngineKind::kMlMiaow,
+                                      opt);
+  const auto slow = measure_detection(fast_profile("astar"), m,
+                                      ModelKind::kLstm, EngineKind::kMiaow,
+                                      opt);
   EXPECT_GE(fast.detections, 2u);
   EXPECT_GE(slow.detections, 2u);
   EXPECT_LT(fast.mean_latency_us, slow.mean_latency_us);
@@ -151,7 +140,7 @@ TEST(Experiment, DetectionFasterOnMlMiaow) {
 
 TEST(RuleBased, BlindToReplayedWhitelistedAddresses) {
   RuleBasedDetector rules;
-  workloads::TraceGenerator gen(fast_profile(), 1);
+  workloads::TraceGenerator gen(fast_profile("astar"), 1);
   std::vector<std::uint64_t> seen;
   for (int i = 0; i < 100'000; ++i) {
     const auto ev = gen.next().event;
@@ -187,8 +176,8 @@ TEST(Experiment, ElmDetectionWorks) {
   DetectionOptions opt;
   opt.attacks = 3;
   opt.burst_events = 24;
-  const auto r = measure_detection(fast_profile(), m, ModelKind::kElm,
-                                   EngineKind::kMlMiaow, opt);
+  const auto r = measure_detection(fast_profile("astar"), m,
+                                   ModelKind::kElm, EngineKind::kMlMiaow, opt);
   EXPECT_GE(r.detections, 2u);
   EXPECT_GT(r.mean_latency_us, 0.0);
 }

@@ -10,13 +10,12 @@
 //      sample exactly once (counts, flags, score sums), and tier-2 bins
 //      conserve the tier-1 runs they fold.
 //   3. The byte cap evicts in seal order, spills evicted pages to the
-//      RTAD_TELEMETRY file verbatim, and never loses summary coverage.
+//      spill file verbatim, and never loses summary coverage.
 //   4. rank_tenants() is a recency-weighted total order: repeatable,
 //      tie-broken by tenant name, and biased toward tenants flagging now.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -363,12 +362,7 @@ TEST(TelemetryQuery, RankPrefersRecentFlagsAndBreaksTiesByName) {
   EXPECT_EQ(head[0].tenant, "warm");
 }
 
-TEST(TelemetryQuery, HalfLifeKnobReplacesTheSpanQuarterDefault) {
-  constexpr const char* kVar = "RTAD_TELEMETRY_HALF_LIFE_US";
-  ASSERT_EQ(unsetenv(kVar), 0);
-  // Unset: no knob half-life — rank_tenants falls through to span/4.
-  EXPECT_EQ(default_half_life_ps(), 0u);
-
+TEST(TelemetryQuery, ZeroHalfLifeResolvesToAQuarterOfTheSpan) {
   StoreConfig cfg;
   cfg.page_samples = 4;
   TelemetryStore store(cfg);
@@ -377,36 +371,25 @@ TEST(TelemetryQuery, HalfLifeKnobReplacesTheSpanQuarterDefault) {
     store.append("hot", make_sample(100 * (i + 1), 0.5, i >= 12));
   }
 
-  // The knob is read per query and pins the documented unit (simulated
-  // microseconds): a query with the knob set equals one passing the same
-  // half-life explicitly, field for field.
-  ASSERT_EQ(setenv(kVar, "250", 1), 0);
-  EXPECT_EQ(default_half_life_ps(), 250u * 1'000'000ULL);
-  const auto via_knob = rank_tenants(store);
-  ASSERT_EQ(unsetenv(kVar), 0);
+  // The populated span is [100, 1600]: a query leaving half_life_ps at 0
+  // equals one passing 1500 / 4 explicitly, field for field — the default
+  // is a pure function of the store and the query.
   RankQuery explicit_hl;
-  explicit_hl.half_life_ps = 250u * 1'000'000ULL;
+  explicit_hl.half_life_ps = 1500 / 4;
+  const auto via_default = rank_tenants(store);
   const auto via_query = rank_tenants(store, explicit_hl);
-  ASSERT_EQ(via_knob.size(), via_query.size());
-  for (std::size_t i = 0; i < via_knob.size(); ++i) {
-    EXPECT_EQ(via_knob[i].tenant, via_query[i].tenant);
-    EXPECT_EQ(via_knob[i].severity, via_query[i].severity);
-    EXPECT_EQ(via_knob[i].samples, via_query[i].samples);
+  ASSERT_EQ(via_default.size(), 2u);
+  ASSERT_EQ(via_default.size(), via_query.size());
+  for (std::size_t i = 0; i < via_default.size(); ++i) {
+    EXPECT_EQ(via_default[i].tenant, via_query[i].tenant);
+    EXPECT_EQ(via_default[i].severity, via_query[i].severity);
+    EXPECT_EQ(via_default[i].samples, via_query[i].samples);
   }
 
-  // An explicit half-life on the query wins over the knob.
-  ASSERT_EQ(setenv(kVar, "999999", 1), 0);
-  const auto overridden = rank_tenants(store, explicit_hl);
-  ASSERT_EQ(overridden.size(), via_query.size());
-  for (std::size_t i = 0; i < overridden.size(); ++i) {
-    EXPECT_EQ(overridden[i].severity, via_query[i].severity);
-  }
-
-  // Malformed values throw the strict env grammar's named error rather
-  // than silently decaying to span/4.
-  ASSERT_EQ(setenv(kVar, "soon", 1), 0);
-  EXPECT_THROW(rank_tenants(store), std::invalid_argument);
-  ASSERT_EQ(unsetenv(kVar), 0);
+  // A different explicit half-life moves the severities.
+  explicit_hl.half_life_ps = 250u * 1'000'000ULL;
+  EXPECT_NE(rank_tenants(store, explicit_hl)[0].severity,
+            via_default[0].severity);
 }
 
 }  // namespace
